@@ -18,6 +18,21 @@ coefficients k over all relations ``k*m' = 0`` whose monomial divides it
 stored reduced into ``{0, ..., modulus-1}`` when the modulus is positive,
 so modulus 1 kills a monomial outright.  Odd-degree generators square to
 zero; the implicit relations are appended at validation time.
+
+Monomials: a :class:`Monomial` is a named tuple holding one exponent
+tuple, so hashing and equality run in C and monomials serve directly as
+dict keys.  Element terms are always in normal form, hence every odd
+generator appears with exponent 0 or 1.
+
+Product signs: concatenating two monomials and sorting the letters back
+into declaration order moves each odd letter of the right factor past
+the odd letters of the left factor with a larger index, and each such
+swap contributes -1 (even letters commute freely).  ``_mono_mul`` reads
+the odd generators present in each factor into bitmasks ``odd1`` and
+``odd2``; the product dies when the masks overlap (an odd generator
+squared), and otherwise the sign is -1 raised to the number of such
+inversions: for each set bit ``low`` of ``odd2``, the bits of ``odd1``
+above it, ``(odd1 & ~((low << 1) - 1)).bit_count()``.
 """
 
 from __future__ import annotations
@@ -26,7 +41,8 @@ import itertools
 import re
 from dataclasses import dataclass
 from math import gcd
-from typing import Iterable, Mapping, Sequence, Union
+from operator import add
+from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
 #: ``degree_of`` result for the zero element.
 ZERO = "zero"
@@ -76,8 +92,7 @@ class GeneratorSpec:
         return self.degree % 2 == 1
 
 
-@dataclass(frozen=True, slots=True)
-class Monomial:
+class Monomial(NamedTuple):
     """Exponent vector over a model's generators, in declaration order."""
 
     exps: tuple[int, ...]
@@ -94,7 +109,7 @@ class Monomial:
         return sum(self.exps)
 
     def merged(self, other: "Monomial") -> "Monomial":
-        return Monomial(tuple(a + b for a, b in zip(self.exps, other.exps)))
+        return Monomial(tuple(map(add, self.exps, other.exps)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -178,9 +193,15 @@ class Element:
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
             raise ValueError("exponent must be a non-negative integer")
-        out = self.model.unit()
-        for _ in range(k):
-            out = self.model.mul(out, self)
+        # square-and-multiply: at most 2*log2(k) + 2 products
+        model, base = self.model, self
+        out = model.unit()
+        while k:
+            if k & 1:
+                out = model.mul(out, base)
+            k >>= 1
+            if k:
+                base = model.mul(base, base)
         return out
 
     def __str__(self) -> str:
@@ -228,7 +249,7 @@ class LoopModel:
         self._validated = False
         self._index: dict[str, int] = {}
         self._degrees: tuple[int, ...] = ()
-        self._odd: tuple[bool, ...] = ()
+        self._odd_idx: tuple[int, ...] = ()
         self._all_relations: tuple[Relation, ...] = ()
         self._caps: tuple[int | None, ...] = ()
         self._modulus_cache: dict[Monomial, int] = {}
@@ -299,7 +320,7 @@ class LoopModel:
         self.generators = tuple(gens)
         self._index = {g.name: i for i, g in enumerate(gens)}
         self._degrees = tuple(g.degree for g in gens)
-        self._odd = tuple(g.is_odd for g in gens)
+        self._odd_idx = tuple(i for i, g in enumerate(gens) if g.is_odd)
 
         rels: list[Relation] = []
         for pos, item in enumerate(self._relations_input, 1):
@@ -326,8 +347,7 @@ class LoopModel:
         n = len(gens)
         implicit = [
             Relation(1, Monomial(tuple(2 if j == i else 0 for j in range(n))))
-            for i in range(n)
-            if self._odd[i]
+            for i in self._odd_idx
         ]
         self._all_relations = self.relations + tuple(implicit)
 
@@ -446,9 +466,13 @@ class LoopModel:
         return cached
 
     def _from_raw(self, acc: dict[Monomial, int]) -> Element:
+        self._require_ready()
+        cache = self._modulus_cache
         terms: dict[Monomial, int] = {}
         for m, c in acc.items():
-            mod = self.modulus(m)
+            mod = cache.get(m)
+            if mod is None:
+                mod = self.modulus(m)
             if mod:
                 c %= mod
             if c:
@@ -490,26 +514,41 @@ class LoopModel:
         return self._from_raw({m: k * c for m, c in x.terms.items()})
 
     def _mono_mul(self, m1: Monomial, m2: Monomial) -> tuple[int, Monomial] | None:
-        """Product of monomials with its Koszul sign; None if an odd
-        generator squares."""
-        merged = m1.merged(m2)
-        for i, odd in enumerate(self._odd):
-            if odd and merged.exps[i] > 1:
-                return None
-        odd1 = [i for i, e in enumerate(m1.exps) if e and self._odd[i]]
-        odd2 = [i for i, e in enumerate(m2.exps) if e and self._odd[i]]
+        """Product of normal-form monomials with its Koszul sign; None if
+        an odd generator squares."""
+        e1, e2 = m1.exps, m2.exps
+        odd1 = odd2 = 0
+        for i in self._odd_idx:
+            if e1[i]:
+                if e2[i]:
+                    return None
+                odd1 |= 1 << i
+            elif e2[i]:
+                odd2 |= 1 << i
         inversions = 0
-        for j in odd2:
-            inversions += sum(1 for i in odd1 if i > j)
-        return (-1 if inversions % 2 else 1), merged
+        while odd2:
+            low = odd2 & -odd2
+            inversions += (odd1 & ~((low << 1) - 1)).bit_count()
+            odd2 ^= low
+        return (-1 if inversions & 1 else 1), Monomial(tuple(map(add, e1, e2)))
 
     def mul(self, x: Element, y: Element) -> Element:
         """Loop product: bilinear extension of signed monomial concatenation."""
-        self._check_same(x, y)
+        if not (
+            isinstance(x, Element)
+            and x.model is self
+            and isinstance(y, Element)
+            and y.model is self
+        ):
+            raise ModelError("elements belong to different models")
+        xt, yt = x.terms, y.terms
+        if not xt or not yt:
+            return Element(self, {})
+        mono_mul = self._mono_mul
         acc: dict[Monomial, int] = {}
-        for m1, c1 in x.terms.items():
-            for m2, c2 in y.terms.items():
-                hit = self._mono_mul(m1, m2)
+        for m1, c1 in xt.items():
+            for m2, c2 in yt.items():
+                hit = mono_mul(m1, m2)
                 if hit is None:
                     continue
                 sign, m = hit

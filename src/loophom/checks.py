@@ -233,6 +233,7 @@ class _Ctx:
         self.seed = seed
         self.basis = model.basis_window(window)  # (degree, monomial, modulus)
         self.monomials = [m for _, m, _ in self.basis]
+        self.elems = [model.mono_elem(m) for m in self.monomials]
         self.chi_zero = model.euler == 0
 
     def rng(self) -> random.Random:
@@ -304,12 +305,16 @@ def _check_ring_unit(ctx: _Ctx) -> CheckResult:
 def _check_ring_associativity(ctx: _Ctx) -> CheckResult:
     model, rng = ctx.model, ctx.rng()
     cases = 0
-    # exhaustive over a small sub-window of monomials, then random elements
+    # exhaustive over a small sub-window of monomials, then random elements;
+    # every x*y and y*z is computed once, and the triples keep the x, y, z
+    # order of a plain triple loop, so the first failing triple is the same
     small = [model.mono_elem(m) for _, m, _ in model.basis_window(min(ctx.window, 4))]
+    yz_table = [[model.mul(y, z) for z in small] for y in small]
     for x in small:
-        for y in small:
-            for z in small:
-                if model.mul(model.mul(x, y), z) != model.mul(x, model.mul(y, z)):
+        for y, yz_row in zip(small, yz_table):
+            xy = model.mul(x, y)
+            for z, yz in zip(small, yz_row):
+                if model.mul(xy, z) != model.mul(x, yz):
                     return CheckResult(
                         "ring-associativity", "fail", witness=f"({x})*({y})*({z})"
                     )
@@ -342,10 +347,8 @@ def _check_ring_distributivity(ctx: _Ctx) -> CheckResult:
 def _check_graded_commutativity(ctx: _Ctx) -> CheckResult:
     model = ctx.model
     cases = 0
-    for d1, m1, _ in ctx.basis:
-        x = model.mono_elem(m1)
-        for d2, m2, _ in ctx.basis:
-            y = model.mono_elem(m2)
+    for (d1, m1, _), x in zip(ctx.basis, ctx.elems):
+        for (d2, m2, _), y in zip(ctx.basis, ctx.elems):
             sign = -1 if (d1 * d2) % 2 else 1
             if model.mul(x, y) != model.scale(sign, model.mul(y, x)):
                 return CheckResult(
@@ -362,22 +365,24 @@ def _check_mul_oracle(ctx: _Ctx) -> CheckResult:
     window = min(ctx.window, 6)
     oracle = DenseOracle(model, window)
     cases = 0
-    for deg1, monos1 in sorted(oracle.basis.items()):
-        for exps1 in monos1:
-            x = model.mono_elem(Monomial(exps1))
-            for deg2, monos2 in sorted(oracle.basis.items()):
-                for exps2 in monos2:
-                    got = model.mul(x, model.mono_elem(Monomial(exps2)))
-                    want = oracle.multiply(exps1, exps2)
-                    expected = {} if want is None else {Monomial(want[1]): want[0]}
-                    if got.terms != expected:
-                        return CheckResult(
-                            "mul-oracle-agreement",
-                            "fail",
-                            witness=f"{model.format_monomial(Monomial(exps1))} * "
-                            f"{model.format_monomial(Monomial(exps2))}: engine {got}, oracle {expected}",
-                        )
-                    cases += 1
+    monos = [
+        (exps, model.mono_elem(Monomial(exps)))
+        for _, by_degree in sorted(oracle.basis.items())
+        for exps in by_degree
+    ]
+    for exps1, x in monos:
+        for exps2, y in monos:
+            got = model.mul(x, y)
+            want = oracle.multiply(exps1, exps2)
+            expected = {} if want is None else {Monomial(want[1]): want[0]}
+            if got.terms != expected:
+                return CheckResult(
+                    "mul-oracle-agreement",
+                    "fail",
+                    witness=f"{model.format_monomial(Monomial(exps1))} * "
+                    f"{model.format_monomial(Monomial(exps2))}: engine {got}, oracle {expected}",
+                )
+            cases += 1
     return _passed("mul-oracle-agreement", cases)
 
 
@@ -416,10 +421,8 @@ def _check_bracket_antisymmetry(ctx: _Ctx) -> CheckResult:
     if model.bracket_on_generators is None:
         return CheckResult("bracket-antisymmetry", "skip", "no bracket data")
     cases = 0
-    for d1, m1, _ in ctx.basis:
-        x = model.mono_elem(m1)
-        for d2, m2, _ in ctx.basis:
-            y = model.mono_elem(m2)
+    for (d1, m1, _), x in zip(ctx.basis, ctx.elems):
+        for (d2, m2, _), y in zip(ctx.basis, ctx.elems):
             sign = 1 if ((d1 + 1) * (d2 + 1)) % 2 else -1
             if model.bracket(x, y) != model.scale(sign, model.bracket(y, x)):
                 return CheckResult(
@@ -762,6 +765,8 @@ _LAWS: list[tuple[str, Callable[[_Ctx], CheckResult]]] = [
 
 def run_checks(doc, max_abs_degree: int = 8, seed: int = 0) -> CheckReport:
     """Run every law over the degree window; deterministic for fixed inputs."""
+    if max_abs_degree < 0:
+        raise ValueError(f"window must be a non-negative integer, got {max_abs_degree}")
     if isinstance(doc, ModelDoc):
         model, name = doc.model, doc.provenance
     else:

@@ -56,6 +56,20 @@ def bv_model():
 
 
 @pytest.fixture(scope="session")
+def odd_interleaved():
+    """Four odd generators interleaved with even ones, so that product
+    signs count several inversions at once; chi = 0 because the dimension
+    is odd."""
+    return LoopModel.create(
+        dim=3,
+        euler=0,
+        generators=[("x", -1), ("a", -2), ("y", -1), ("v", 2), ("z", -3), ("t", -1)],
+        relations=[(1, {"a": 2})],
+        c0={"z": 1},
+    )
+
+
+@pytest.fixture(scope="session")
 def corrupted_s4():
     """The sphere:4 presentation with its torsion relation dropped; valid
     as an algebra but inconsistent with string topology."""

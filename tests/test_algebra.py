@@ -1,6 +1,6 @@
 """Core algebra engine: validation, normal forms, ring laws, grading."""
 
-from math import gcd
+from math import gcd, log2
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +12,7 @@ from loophom import (
     GeneratorSpec,
     LoopModel,
     ModelError,
+    Monomial,
     validate_model,
 )
 
@@ -283,6 +284,27 @@ def test_power_operator(cp2):
     assert c**3 == 0
     with pytest.raises(ValueError):
         c ** (-1)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 7, 8, 1000, 2**20 - 1, 100_000_000])
+def test_power_by_squaring(s4, monkeypatch, k):
+    calls = []
+    real_mul = s4.mul
+
+    def counting_mul(x, y):
+        calls.append(1)
+        return real_mul(x, y)
+
+    monkeypatch.setattr(s4, "mul", counting_mul)
+    assert s4.gen("v") ** k == s4.mono_elem({"v": k})
+    assert len(calls) <= 2 * log2(k) + 2
+
+
+def test_monomial_hash_and_repr_are_those_of_the_exponent_tuple():
+    m = Monomial((2, 0, 1))
+    assert hash(m) == hash(((2, 0, 1),))
+    assert repr(m) == "Monomial(exps=(2, 0, 1))"
+    assert m == Monomial((2, 0, 1)) and m != Monomial((2, 1, 0))
 
 
 # -- grading --------------------------------------------------------------------

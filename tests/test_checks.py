@@ -1,8 +1,15 @@
 """Law suite: pass/fail behaviour, determinism, and the dense oracle."""
 
 import json
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loophom import DenseOracle, LoopModel, Monomial, load_model, run_checks
+
+CHECK_DETAILS = Path(__file__).parent / "data" / "check_details_w24_seed0.json"
 
 
 def test_all_builtins_pass():
@@ -129,6 +136,81 @@ def test_oracle_agrees_on_three_odd_generators():
     x = model.gen("x")
     xyz = model.mono_elem({"x": 1, "y": 1, "z": 1})
     assert model.mul(yz, x) == xyz  # two odd-odd transpositions cancel
+
+
+def test_checks_pass_with_four_interleaved_odd_generators(odd_interleaved):
+    report = run_checks(odd_interleaved, max_abs_degree=1, seed=0)
+    by_law = {r.law: r for r in report.results}
+    assert report.passed, [r.law for r in report.results if r.status == "fail"]
+    assert by_law["mul-oracle-agreement"].detail == "2304 cases"
+
+
+@settings(max_examples=200)
+@given(data=st.data())
+def test_product_sign_matches_oracle(odd_interleaved, data):
+    model = odd_interleaved
+    oracle = DenseOracle(model, 0)
+    # odd generators and a (a^2 = 0) take exponent 0 or 1, v is free
+    vec = st.tuples(*(st.integers(0, 5 if g.name == "v" else 1) for g in model.generators))
+    e1, e2 = data.draw(vec), data.draw(vec)
+    got = model.mul(model.mono_elem(Monomial(e1)), model.mono_elem(Monomial(e2)))
+    combined = tuple(a + b for a, b in zip(e1, e2))
+    if oracle.modulus(combined) == 1:
+        assert got.terms == {}
+    else:
+        assert got.terms == {Monomial(combined): oracle.sign(e1, e2)}
+
+
+def _plain_associativity_witness(model, window):
+    # the exhaustive sweep as a plain triple loop, every product recomputed
+    small = [model.mono_elem(m) for _, m, _ in model.basis_window(min(window, 4))]
+    for x in small:
+        for y in small:
+            for z in small:
+                if model.mul(model.mul(x, y), z) != model.mul(x, model.mul(y, z)):
+                    return f"({x})*({y})*({z})"
+    return None
+
+
+@pytest.mark.parametrize(
+    "triples, witness",
+    [
+        ([("t", "x", "y")], "(t)*(x)*(y)"),
+        ([("t", "x", "y"), ("y", "x", "t"), ("t", "y", "x")], "(t)*(y)*(x)"),
+    ],
+)
+def test_associativity_reports_the_first_corrupted_triple(
+    odd_interleaved, monkeypatch, triples, witness
+):
+    model = odd_interleaved
+    real_mul = model.mul
+    # for odd generators p after q in declaration order, p*q = -q*p is the
+    # only product of two coefficient-1 monomials with that value, so
+    # corrupting (p*q)*r breaks exactly the triple (p, q, r)
+    bad = [
+        (real_mul(model.gen(p), model.gen(q)), model.gen(r)) for p, q, r in triples
+    ]
+    assert all(left.terms and -1 in left.terms.values() for left, _ in bad)
+
+    def corrupted_mul(a, b):
+        out = real_mul(a, b)
+        if any(a == left and b == right for left, right in bad):
+            return model.add(out, model.unit())
+        return out
+
+    monkeypatch.setattr(model, "mul", corrupted_mul)
+    report = run_checks(model, max_abs_degree=1, seed=0)
+    result = next(r for r in report.results if r.law == "ring-associativity")
+    assert result.status == "fail"
+    assert result.witness == witness
+    assert result.witness == _plain_associativity_witness(model, 1)
+
+
+def test_case_counts_on_builtins_at_window_24():
+    expected = json.loads(CHECK_DETAILS.read_text())
+    for name, details in expected.items():
+        report = run_checks(load_model(name), max_abs_degree=24, seed=0)
+        assert {r.law: r.detail for r in report.results} == details, name
 
 
 def test_oracle_enumeration_matches_engine(s4, cp2):

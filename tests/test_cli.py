@@ -123,6 +123,20 @@ def test_check_fails_on_corrupted_model(tmp_path):
     assert "2*a*v" in out.stdout
 
 
+def test_check_negative_window_is_usage_error():
+    out = run_cli("check", "--model", "sphere:4", "--window", "-1")
+    assert out.returncode == 2
+    assert out.stderr.startswith("loophom: error: ")
+    assert "window" in out.stderr
+    assert "Traceback" not in out.stderr
+
+
+def test_eval_huge_power():
+    out = run_cli("eval", "--model", "sphere:4", "v^100000000")
+    assert out.returncode == 0
+    assert out.stdout.strip() == "v^100000000"
+
+
 def test_check_deterministic_output():
     a = run_cli("check", "--model", "cpn:1", "--window", "6", "--seed", "5")
     b = run_cli("check", "--model", "cpn:1", "--window", "6", "--seed", "5")
