@@ -39,7 +39,6 @@ from .modelfile import ModelDoc, ModelParseError, load_model, parse_model, print
 from .tqft import (
     Surface,
     VanishingReason,
-    euler_char,
     sew,
     string_operation,
     string_operation_via_pants,
@@ -71,7 +70,6 @@ __all__ = [
     "apply_psi",
     "builtin_model",
     "contract",
-    "euler_char",
     "evaluate",
     "load_model",
     "parse_expr",

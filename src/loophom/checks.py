@@ -13,6 +13,7 @@ engine, so agreement between the two is meaningful evidence.
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
 from dataclasses import dataclass, field
@@ -47,7 +48,7 @@ _INCONSISTENT_TAG = "model is inconsistent with string topology"
 @dataclass
 class CheckResult:
     law: str
-    status: str  # "pass" | "fail" | "skip"
+    status: str  # "pass" | "fail" | "skip" | "error"
     detail: str = ""
     witness: str | None = None
 
@@ -61,12 +62,12 @@ class CheckReport:
 
     @property
     def passed(self) -> bool:
-        return all(r.status != "fail" for r in self.results)
+        return all(r.status in ("pass", "skip") for r in self.results)
 
     def render_text(self) -> str:
         lines = [f"model: {self.model_name}", f"window: {self.window}", f"seed: {self.seed}"]
         for r in self.results:
-            head = {"pass": "PASS", "fail": "FAIL", "skip": "SKIP"}[r.status]
+            head = r.status.upper()
             line = f"{head} {r.law}"
             if r.detail:
                 line += f" ({r.detail})"
@@ -74,7 +75,7 @@ class CheckReport:
                 line += f" witness: {r.witness}"
             lines.append(line)
         np = sum(1 for r in self.results if r.status == "pass")
-        nf = sum(1 for r in self.results if r.status == "fail")
+        nf = sum(1 for r in self.results if r.status in ("fail", "error"))
         ns = sum(1 for r in self.results if r.status == "skip")
         verdict = "PASS" if self.passed else "FAIL"
         lines.append(f"result: {verdict} ({np} passed, {nf} failed, {ns} skipped)")
@@ -131,12 +132,14 @@ class DenseOracle:
         # exponent bound for generator i inside the window
         if self.odd[i]:
             return 1
-        kill = None
-        for k, exps in self.relations:
-            if k == 1 and exps[i] >= 1 and all(e == 0 for j, e in enumerate(exps) if j != i):
-                kill = exps[i] if kill is None else min(kill, exps[i])
-        if kill is not None:
-            return kill - 1
+        # the modulus of a pure power changes only at the exponents of the
+        # pure-power relations; the first that kills it bounds the exponent
+        n = len(self.degrees)
+        for e in sorted(
+            {exps[i] for _, exps in self.relations if exps[i] and sum(exps) == exps[i]}
+        ):
+            if self.modulus([e if j == i else 0 for j in range(n)]) == 1:
+                return e - 1
         d = self.degrees[i]
         if d <= 0:
             raise ValueError("oracle needs nilpotent non-positive generators")
@@ -226,9 +229,8 @@ class DenseOracle:
 
 
 class _Ctx:
-    def __init__(self, model: LoopModel, doc: ModelDoc | None, window: int, seed: int):
+    def __init__(self, model: LoopModel, window: int, seed: int):
         self.model = model
-        self.doc = doc
         self.window = window
         self.seed = seed
         self.basis = model.basis_window(window)  # (degree, monomial, modulus)
@@ -250,30 +252,75 @@ class _Ctx:
         return self.model.format_monomial(m)
 
 
-def _passed(law: str, cases: int, tag: str = "") -> CheckResult:
-    detail = f"{cases} cases"
-    if tag:
-        detail += f"; {tag}"
-    return CheckResult(law, "pass", detail)
+class _Fail(Exception):
+    """A law's counterexample, with an optional detail for the report."""
+
+    def __init__(self, witness: str, detail: str = ""):
+        super().__init__(witness)
+        self.witness = witness
+        self.detail = detail
 
 
-def _check_normal_form_idempotent(ctx: _Ctx) -> CheckResult:
+# data a law needs: (present on the model?, reason to skip without it)
+_NEEDS: dict[str, tuple[Callable[[LoopModel], bool], str]] = {
+    "bracket": (lambda m: m.bracket_on_generators is not None, "no bracket data"),
+    "delta": (lambda m: m.delta_on_generators is not None, "no BV-operator data"),
+    "geometric": (lambda m: any(g.geometric for g in m.generators), "no geometric generators"),
+}
+
+_LAWS: list[tuple[str, Callable[[_Ctx], CheckResult]]] = []
+
+
+def _law(name: str, needs: tuple[str, ...] = (), chi_tag: bool = False):
+    """Declare a law: append ``(name, run)`` to ``_LAWS``, so the report
+    lists laws in declaration order.
+
+    The decorated function takes the context and returns its case count,
+    or raises :class:`_Fail` with a witness.  ``run`` builds the result:
+    it skips the law when the model lacks an entry of ``needs`` (checked
+    in order), reports ``N cases`` on a pass, tagged when ``chi_tag`` is
+    set and the Euler characteristic is 0, and turns any other exception
+    into status ``error`` with ``Type: message`` as the witness, so one
+    broken law does not abort the report.
+    """
+
+    def register(fn: Callable[[_Ctx], int]):
+        def run(ctx: _Ctx) -> CheckResult:
+            for need in needs:
+                present, reason = _NEEDS[need]
+                if not present(ctx.model):
+                    return CheckResult(name, "skip", reason)
+            try:
+                cases = fn(ctx)
+            except _Fail as fail:
+                return CheckResult(name, "fail", fail.detail, fail.witness)
+            except Exception as exc:  # reported; the other laws still run
+                return CheckResult(name, "error", witness=f"{type(exc).__name__}: {exc}")
+            detail = f"{cases} cases"
+            if chi_tag and ctx.chi_zero:
+                detail += f"; {_CHI_ZERO_TAG}"
+            return CheckResult(name, "pass", detail)
+
+        _LAWS.append((name, run))
+        return fn
+
+    return register
+
+
+@_law("normal-form-idempotent")
+def _check_normal_form_idempotent(ctx: _Ctx) -> int:
     model, rng = ctx.model, ctx.rng()
-    cases = 0
     for _ in range(60):
         x = ctx.random_element(rng)
         again = model.normal_form([(c, m) for m, c in x.terms.items()])
         if again != x:
-            return CheckResult(
-                "normal-form-idempotent", "fail", witness=f"{x} renormalized to {again}"
-            )
-        cases += 1
-    return _passed("normal-form-idempotent", cases)
+            raise _Fail(f"{x} renormalized to {again}")
+    return 60
 
 
-def _check_normal_form_order(ctx: _Ctx) -> CheckResult:
+@_law("normal-form-order-independence")
+def _check_normal_form_order(ctx: _Ctx) -> int:
     model, rng = ctx.model, ctx.rng()
-    cases = 0
     for _ in range(40):
         raw = [
             (rng.randint(-6, 6), rng.choice(ctx.monomials))
@@ -283,26 +330,23 @@ def _check_normal_form_order(ctx: _Ctx) -> CheckResult:
         for _ in range(3):
             rng.shuffle(raw)
             if model.normal_form(list(raw)) != ref:
-                return CheckResult(
-                    "normal-form-order-independence",
-                    "fail",
-                    witness=f"reordering changed the normal form of {raw}",
-                )
-        cases += 1
-    return _passed("normal-form-order-independence", cases)
+                raise _Fail(f"reordering changed the normal form of {raw}")
+    return 40
 
 
-def _check_ring_unit(ctx: _Ctx) -> CheckResult:
+@_law("ring-unit-law")
+def _check_ring_unit(ctx: _Ctx) -> int:
     model = ctx.model
     one = model.unit()
     for _, m, _ in ctx.basis:
         x = model.mono_elem(m)
         if model.mul(one, x) != x or model.mul(x, one) != x:
-            return CheckResult("ring-unit-law", "fail", witness=f"unit law fails on {ctx.fmt(m)}")
-    return _passed("ring-unit-law", len(ctx.basis))
+            raise _Fail(f"unit law fails on {ctx.fmt(m)}")
+    return len(ctx.basis)
 
 
-def _check_ring_associativity(ctx: _Ctx) -> CheckResult:
+@_law("ring-associativity")
+def _check_ring_associativity(ctx: _Ctx) -> int:
     model, rng = ctx.model, ctx.rng()
     cases = 0
     # exhaustive over a small sub-window of monomials, then random elements;
@@ -315,56 +359,42 @@ def _check_ring_associativity(ctx: _Ctx) -> CheckResult:
             xy = model.mul(x, y)
             for z, yz in zip(small, yz_row):
                 if model.mul(xy, z) != model.mul(x, yz):
-                    return CheckResult(
-                        "ring-associativity", "fail", witness=f"({x})*({y})*({z})"
-                    )
+                    raise _Fail(f"({x})*({y})*({z})")
                 cases += 1
     for _ in range(80):
         x, y, z = (ctx.random_element(rng, max_terms=2) for _ in range(3))
         if model.mul(model.mul(x, y), z) != model.mul(x, model.mul(y, z)):
-            return CheckResult(
-                "ring-associativity", "fail", witness=f"({x})*({y})*({z})"
-            )
-        cases += 1
-    return _passed("ring-associativity", cases)
+            raise _Fail(f"({x})*({y})*({z})")
+    return cases + 80
 
 
-def _check_ring_distributivity(ctx: _Ctx) -> CheckResult:
+@_law("ring-distributivity")
+def _check_ring_distributivity(ctx: _Ctx) -> int:
     model, rng = ctx.model, ctx.rng()
-    cases = 0
     for _ in range(80):
         x, y, z = (ctx.random_element(rng, max_terms=2) for _ in range(3))
         lhs = model.mul(x, model.add(y, z))
         rhs = model.add(model.mul(x, y), model.mul(x, z))
         if lhs != rhs:
-            return CheckResult(
-                "ring-distributivity", "fail", witness=f"({x})*(({y})+({z}))"
-            )
-        cases += 1
-    return _passed("ring-distributivity", cases)
+            raise _Fail(f"({x})*(({y})+({z}))")
+    return 80
 
 
-def _check_graded_commutativity(ctx: _Ctx) -> CheckResult:
+@_law("graded-commutativity")
+def _check_graded_commutativity(ctx: _Ctx) -> int:
     model = ctx.model
-    cases = 0
     for (d1, m1, _), x in zip(ctx.basis, ctx.elems):
         for (d2, m2, _), y in zip(ctx.basis, ctx.elems):
             sign = -1 if (d1 * d2) % 2 else 1
             if model.mul(x, y) != model.scale(sign, model.mul(y, x)):
-                return CheckResult(
-                    "graded-commutativity",
-                    "fail",
-                    witness=f"{ctx.fmt(m1)} * {ctx.fmt(m2)}",
-                )
-            cases += 1
-    return _passed("graded-commutativity", cases)
+                raise _Fail(f"{ctx.fmt(m1)} * {ctx.fmt(m2)}")
+    return len(ctx.basis) ** 2
 
 
-def _check_mul_oracle(ctx: _Ctx) -> CheckResult:
+@_law("mul-oracle-agreement")
+def _check_mul_oracle(ctx: _Ctx) -> int:
     model = ctx.model
-    window = min(ctx.window, 6)
-    oracle = DenseOracle(model, window)
-    cases = 0
+    oracle = DenseOracle(model, min(ctx.window, 6))
     monos = [
         (exps, model.mono_elem(Monomial(exps)))
         for _, by_degree in sorted(oracle.basis.items())
@@ -376,70 +406,54 @@ def _check_mul_oracle(ctx: _Ctx) -> CheckResult:
             want = oracle.multiply(exps1, exps2)
             expected = {} if want is None else {Monomial(want[1]): want[0]}
             if got.terms != expected:
-                return CheckResult(
-                    "mul-oracle-agreement",
-                    "fail",
-                    witness=f"{model.format_monomial(Monomial(exps1))} * "
-                    f"{model.format_monomial(Monomial(exps2))}: engine {got}, oracle {expected}",
+                raise _Fail(
+                    f"{model.format_monomial(Monomial(exps1))} * "
+                    f"{model.format_monomial(Monomial(exps2))}: engine {got}, oracle {expected}"
                 )
-            cases += 1
-    return _passed("mul-oracle-agreement", cases)
+    return len(monos) ** 2
 
 
-def _check_torsion_identity(ctx: _Ctx) -> CheckResult:
+@_law("torsion-identity", chi_tag=True)
+def _check_torsion_identity(ctx: _Ctx) -> int:
     model = ctx.model
     if ctx.chi_zero:
-        return _passed("torsion-identity", len(ctx.basis), _CHI_ZERO_TAG)
+        return len(ctx.basis)
     for deg, m, _ in ctx.basis:
         if deg == 0:
             continue
         value = model.scale(model.euler, model.mul(model.c0, model.mono_elem(m)))
         if value:
-            return CheckResult(
-                "torsion-identity",
-                "fail",
-                detail=_INCONSISTENT_TAG,
-                witness=f"chi*c0*{ctx.fmt(m)} = {value} != 0",
-            )
-    return _passed("torsion-identity", len(ctx.basis))
+            raise _Fail(f"chi*c0*{ctx.fmt(m)} = {value} != 0", _INCONSISTENT_TAG)
+    return len(ctx.basis)
 
 
-def _check_bracket_unit(ctx: _Ctx) -> CheckResult:
+@_law("bracket-unit", needs=("bracket",))
+def _check_bracket_unit(ctx: _Ctx) -> int:
     model = ctx.model
-    if model.bracket_on_generators is None:
-        return CheckResult("bracket-unit", "skip", "no bracket data")
     one = model.unit()
     for _, m, _ in ctx.basis:
         x = model.mono_elem(m)
         if model.bracket(one, x) or model.bracket(x, one):
-            return CheckResult("bracket-unit", "fail", witness=f"bracket with 1 on {ctx.fmt(m)}")
-    return _passed("bracket-unit", len(ctx.basis))
+            raise _Fail(f"bracket with 1 on {ctx.fmt(m)}")
+    return len(ctx.basis)
 
 
-def _check_bracket_antisymmetry(ctx: _Ctx) -> CheckResult:
+@_law("bracket-antisymmetry", needs=("bracket",))
+def _check_bracket_antisymmetry(ctx: _Ctx) -> int:
     model = ctx.model
-    if model.bracket_on_generators is None:
-        return CheckResult("bracket-antisymmetry", "skip", "no bracket data")
-    cases = 0
     for (d1, m1, _), x in zip(ctx.basis, ctx.elems):
         for (d2, m2, _), y in zip(ctx.basis, ctx.elems):
             sign = 1 if ((d1 + 1) * (d2 + 1)) % 2 else -1
             if model.bracket(x, y) != model.scale(sign, model.bracket(y, x)):
-                return CheckResult(
-                    "bracket-antisymmetry",
-                    "fail",
-                    witness=f"bracket({ctx.fmt(m1)}, {ctx.fmt(m2)})",
-                )
-            cases += 1
-    return _passed("bracket-antisymmetry", cases)
+                raise _Fail(f"bracket({ctx.fmt(m1)}, {ctx.fmt(m2)})")
+    return len(ctx.basis) ** 2
 
 
-def _check_bracket_torsion(ctx: _Ctx) -> CheckResult:
+@_law("bracket-torsion", needs=("bracket",), chi_tag=True)
+def _check_bracket_torsion(ctx: _Ctx) -> int:
     model = ctx.model
-    if model.bracket_on_generators is None:
-        return CheckResult("bracket-torsion", "skip", "no bracket data")
     if ctx.chi_zero:
-        return _passed("bracket-torsion", len(ctx.basis), _CHI_ZERO_TAG)
+        return len(ctx.basis)
     excluded = {-1} if model.simply_connected else {0, -1}
     cases = 0
     for deg, m, _ in ctx.basis:
@@ -447,35 +461,24 @@ def _check_bracket_torsion(ctx: _Ctx) -> CheckResult:
             continue
         value = model.scale(model.euler, model.bracket(model.c0, model.mono_elem(m)))
         if value:
-            return CheckResult(
-                "bracket-torsion",
-                "fail",
-                witness=f"chi*bracket(c0, {ctx.fmt(m)}) = {value} != 0",
-            )
+            raise _Fail(f"chi*bracket(c0, {ctx.fmt(m)}) = {value} != 0")
         cases += 1
-    return _passed("bracket-torsion", cases)
+    return cases
 
 
-def _check_delta_squared(ctx: _Ctx) -> CheckResult:
+@_law("delta-squared", needs=("delta",))
+def _check_delta_squared(ctx: _Ctx) -> int:
     model = ctx.model
-    if model.delta_on_generators is None:
-        return CheckResult("delta-squared", "skip", "no BV-operator data")
     for _, m, _ in ctx.basis:
         value = model.delta(model.delta(model.mono_elem(m)))
         if value:
-            return CheckResult(
-                "delta-squared",
-                "fail",
-                detail="BV data is inconsistent",
-                witness=f"delta(delta({ctx.fmt(m)})) = {value} != 0",
-            )
-    return _passed("delta-squared", len(ctx.basis))
+            raise _Fail(f"delta(delta({ctx.fmt(m)})) = {value} != 0", "BV data is inconsistent")
+    return len(ctx.basis)
 
 
-def _check_delta_bv_residual(ctx: _Ctx) -> CheckResult:
+@_law("delta-bv-residual", needs=("delta",))
+def _check_delta_bv_residual(ctx: _Ctx) -> int:
     model, rng = ctx.model, ctx.rng()
-    if model.delta_on_generators is None:
-        return CheckResult("delta-bv-residual", "skip", "no BV-operator data")
     cases = 0
     for _ in range(60):
         x = ctx.random_element(rng, max_terms=2)
@@ -489,46 +492,38 @@ def _check_delta_bv_residual(ctx: _Ctx) -> CheckResult:
         residual = model.add(residual, model.scale(-sign, model.mul(x, model.delta(y))))
         residual = model.add(residual, model.scale(-sign, model.bracket(x, y)))
         if residual:
-            return CheckResult(
-                "delta-bv-residual", "fail", witness=f"x={x}, y={y}: residual {residual}"
-            )
+            raise _Fail(f"x={x}, y={y}: residual {residual}")
         cases += 1
-    return _passed("delta-bv-residual", cases)
+    return cases
 
 
-def _check_coproduct_symmetry(ctx: _Ctx) -> CheckResult:
+@_law("coproduct-symmetry", chi_tag=True)
+def _check_coproduct_symmetry(ctx: _Ctx) -> int:
     model = ctx.model
-    tag = _CHI_ZERO_TAG if ctx.chi_zero else ""
     for _, m, _ in ctx.basis:
         value = psi(model, model.mono_elem(m))
         if twist(value) != value:
-            return CheckResult(
-                "coproduct-symmetry", "fail", witness=f"psi({ctx.fmt(m)}) = {value}"
-            )
-    return _passed("coproduct-symmetry", len(ctx.basis), tag)
+            raise _Fail(f"psi({ctx.fmt(m)}) = {value}")
+    return len(ctx.basis)
 
 
-def _check_coproduct_forms_agree(ctx: _Ctx) -> CheckResult:
+@_law("coproduct-forms-agree", chi_tag=True)
+def _check_coproduct_forms_agree(ctx: _Ctx) -> int:
     model = ctx.model
-    tag = _CHI_ZERO_TAG if ctx.chi_zero else ""
     for _, m, _ in ctx.basis:
         x = model.mono_elem(m)
         if psi(model, x) != psi_mirror(model, x):
-            return CheckResult(
-                "coproduct-forms-agree",
-                "fail",
-                detail=_INCONSISTENT_TAG,
-                witness=f"psi({ctx.fmt(m)}): {psi(model, x)} vs {psi_mirror(model, x)}",
+            raise _Fail(
+                f"psi({ctx.fmt(m)}): {psi(model, x)} vs {psi_mirror(model, x)}", _INCONSISTENT_TAG
             )
-    return _passed("coproduct-forms-agree", len(ctx.basis), tag)
+    return len(ctx.basis)
 
 
 def _integer_multiple_of(t, base):
     """k with t == k * base, or None."""
     if not base.terms:
         return 0 if not t.terms else None
-    key = min(base.terms, key=lambda ms: tuple(m.exps for m in ms))
-    c = base.terms[key]
+    key, c = base.sorted_terms()[0]
     v = t.terms.get(key, 0)
     if v % c:
         return None
@@ -536,33 +531,25 @@ def _integer_multiple_of(t, base):
     return k if t == tensor_scale(k, base) else None
 
 
-def _check_coproduct_concentration(ctx: _Ctx) -> CheckResult:
+@_law("coproduct-concentration", chi_tag=True)
+def _check_coproduct_concentration(ctx: _Ctx) -> int:
     model = ctx.model
-    tag = _CHI_ZERO_TAG if ctx.chi_zero else ""
     c0c0 = tensor([model.c0, model.c0])
     for deg, m, _ in ctx.basis:
         value = psi(model, model.mono_elem(m))
         if deg != 0:
             if value:
-                return CheckResult(
-                    "coproduct-concentration",
-                    "fail",
-                    detail=_INCONSISTENT_TAG,
-                    witness=f"psi({ctx.fmt(m)}) = {value} != 0 in degree {deg}",
+                raise _Fail(
+                    f"psi({ctx.fmt(m)}) = {value} != 0 in degree {deg}", _INCONSISTENT_TAG
                 )
         elif _integer_multiple_of(value, c0c0) is None:
-            return CheckResult(
-                "coproduct-concentration",
-                "fail",
-                witness=f"psi({ctx.fmt(m)}) = {value} is not a multiple of c0 (x) c0",
-            )
-    return _passed("coproduct-concentration", len(ctx.basis), tag)
+            raise _Fail(f"psi({ctx.fmt(m)}) = {value} is not a multiple of c0 (x) c0")
+    return len(ctx.basis)
 
 
-def _check_coproduct_frobenius(ctx: _Ctx) -> CheckResult:
+@_law("coproduct-frobenius", chi_tag=True)
+def _check_coproduct_frobenius(ctx: _Ctx) -> int:
     model, rng = ctx.model, ctx.rng()
-    tag = _CHI_ZERO_TAG if ctx.chi_zero else ""
-    cases = 0
     for _ in range(50):
         p = rng.randint(0, 4)
         factors = [model.mono_elem(rng.choice(ctx.monomials)) for _ in range(p)]
@@ -570,68 +557,45 @@ def _check_coproduct_frobenius(ctx: _Ctx) -> CheckResult:
         for ell in range(1, p + 1):
             if values[ell] != values[0]:
                 names = ", ".join(str(f) for f in factors)
-                return CheckResult(
-                    "coproduct-frobenius",
-                    "fail",
-                    detail=_INCONSISTENT_TAG,
-                    witness=f"psi_split([{names}], {ell}) = {values[ell]} "
+                raise _Fail(
+                    f"psi_split([{names}], {ell}) = {values[ell]} "
                     f"differs from split 0 = {values[0]}",
+                    _INCONSISTENT_TAG,
                 )
-        cases += 1
-    return _passed("coproduct-frobenius", cases, tag)
+    return 50
 
 
-def _check_coproduct_coassociativity(ctx: _Ctx) -> CheckResult:
+@_law("coproduct-coassociativity", chi_tag=True)
+def _check_coproduct_coassociativity(ctx: _Ctx) -> int:
     model = ctx.model
-    tag = _CHI_ZERO_TAG if ctx.chi_zero else ""
     for _, m, _ in ctx.basis:
         value = psi(model, model.mono_elem(m))
         if apply_psi(value, 1) != apply_psi(value, 2):
-            return CheckResult(
-                "coproduct-coassociativity", "fail", witness=f"on {ctx.fmt(m)}"
-            )
-    return _passed("coproduct-coassociativity", len(ctx.basis), tag)
+            raise _Fail(f"on {ctx.fmt(m)}")
+    return len(ctx.basis)
 
 
-def _check_coproduct_delta_factorwise(ctx: _Ctx) -> CheckResult:
+@_law("coproduct-delta-factorwise", needs=("delta",), chi_tag=True)
+def _check_coproduct_delta_factorwise(ctx: _Ctx) -> int:
     model = ctx.model
-    if model.delta_on_generators is None:
-        return CheckResult("coproduct-delta-factorwise", "skip", "no BV-operator data")
-    tag = _CHI_ZERO_TAG if ctx.chi_zero else ""
     for _, m, _ in ctx.basis:
         value = apply_delta_factorwise(psi(model, model.mono_elem(m)))
         if value:
-            return CheckResult(
-                "coproduct-delta-factorwise",
-                "fail",
-                witness=f"factorwise delta of psi({ctx.fmt(m)}) = {value}",
-            )
-    return _passed("coproduct-delta-factorwise", len(ctx.basis), tag)
+            raise _Fail(f"factorwise delta of psi({ctx.fmt(m)}) = {value}")
+    return len(ctx.basis)
 
 
-def _check_coproduct_kills_geometric_brackets(ctx: _Ctx) -> CheckResult:
+@_law("coproduct-kills-geometric-brackets", needs=("bracket", "geometric"), chi_tag=True)
+def _check_coproduct_kills_geometric_brackets(ctx: _Ctx) -> int:
     model = ctx.model
-    if model.bracket_on_generators is None:
-        return CheckResult("coproduct-kills-geometric-brackets", "skip", "no bracket data")
     geometric = [g.name for g in model.generators if g.geometric]
-    if not geometric:
-        return CheckResult(
-            "coproduct-kills-geometric-brackets", "skip", "no geometric generators"
-        )
-    tag = _CHI_ZERO_TAG if ctx.chi_zero else ""
-    cases = 0
     for name in geometric:
         g = model.gen(name)
         for _, m, _ in ctx.basis:
             value = psi(model, model.bracket(g, model.mono_elem(m)))
             if value:
-                return CheckResult(
-                    "coproduct-kills-geometric-brackets",
-                    "fail",
-                    witness=f"psi(bracket({name}, {ctx.fmt(m)})) = {value}",
-                )
-            cases += 1
-    return _passed("coproduct-kills-geometric-brackets", cases, tag)
+                raise _Fail(f"psi(bracket({name}, {ctx.fmt(m)})) = {value}")
+    return len(geometric) * len(ctx.basis)
 
 
 def _sample_inputs(ctx: _Ctx, rng: random.Random, arity: int, count: int):
@@ -639,38 +603,39 @@ def _sample_inputs(ctx: _Ctx, rng: random.Random, arity: int, count: int):
         yield tuple(rng.choice(ctx.monomials) for _ in range(arity))
 
 
-def _check_surface_closed_vs_pants(ctx: _Ctx) -> CheckResult:
+def _small_surfaces():
+    """Every surface with genus <= 2 and 1 to 3 inputs and outputs."""
+    for g, p, q in itertools.product(range(3), range(1, 4), range(1, 4)):
+        yield Surface(g, p, q)
+
+
+@_law("surface-closed-vs-pants")
+def _check_surface_closed_vs_pants(ctx: _Ctx) -> int:
     model, rng = ctx.model, ctx.rng()
     cases = 0
-    for g in range(3):
-        for p in range(1, 4):
-            for q in range(1, 4):
-                s = Surface(g, p, q)
-                for monos in _sample_inputs(ctx, rng, p, 12):
-                    inputs = [model.mono_elem(m) for m in monos]
-                    closed = string_operation(model, s, inputs)
-                    pants = string_operation_via_pants(model, s, inputs)
-                    if closed != pants:
-                        names = ", ".join(ctx.fmt(m) for m in monos)
-                        return CheckResult(
-                            "surface-closed-vs-pants",
-                            "fail",
-                            witness=f"{s} on [{names}]: closed {closed}, pants {pants}",
-                        )
-                    cases += 1
-    return _passed("surface-closed-vs-pants", cases)
+    for s in _small_surfaces():
+        for monos in _sample_inputs(ctx, rng, s.inputs, 12):
+            inputs = [model.mono_elem(m) for m in monos]
+            closed = string_operation(model, s, inputs)
+            pants = string_operation_via_pants(model, s, inputs)
+            if closed != pants:
+                names = ", ".join(ctx.fmt(m) for m in monos)
+                raise _Fail(f"{s} on [{names}]: closed {closed}, pants {pants}")
+            cases += 1
+    return cases
 
 
-def _random_surface(rng: random.Random) -> Surface:
-    return Surface(rng.randint(0, 2), rng.randint(1, 3), rng.randint(1, 3))
+def _random_sewable_pair(rng: random.Random) -> tuple[Surface, Surface]:
+    s1 = Surface(rng.randint(0, 2), rng.randint(1, 3), rng.randint(1, 3))
+    return s1, Surface(rng.randint(0, 2), s1.outputs, rng.randint(1, 3))
 
 
-def _check_surface_functoriality(ctx: _Ctx) -> CheckResult:
+@_law("surface-functoriality")
+def _check_surface_functoriality(ctx: _Ctx) -> int:
     model, rng = ctx.model, ctx.rng()
     cases = 0
     for _ in range(30):
-        s1 = _random_surface(rng)
-        s2 = Surface(rng.randint(0, 2), s1.outputs, rng.randint(1, 3))
+        s1, s2 = _random_sewable_pair(rng)
         glued = sew(s1, s2)
         for monos in _sample_inputs(ctx, rng, s1.inputs, 5):
             inputs = [model.mono_elem(m) for m in monos]
@@ -678,89 +643,47 @@ def _check_surface_functoriality(ctx: _Ctx) -> CheckResult:
             direct = string_operation(model, glued, inputs)
             if composed != direct:
                 names = ", ".join(ctx.fmt(m) for m in monos)
-                return CheckResult(
-                    "surface-functoriality",
-                    "fail",
-                    witness=f"{s1} then {s2} vs {glued} on [{names}]",
-                )
+                raise _Fail(f"{s1} then {s2} vs {glued} on [{names}]")
             cases += 1
-    return _passed("surface-functoriality", cases)
+    return cases
 
 
-def _check_surface_degree_shift(ctx: _Ctx) -> CheckResult:
+@_law("surface-degree-shift")
+def _check_surface_degree_shift(ctx: _Ctx) -> int:
     model, rng = ctx.model, ctx.rng()
     d = model.dim
     cases = 0
-    for g in range(3):
-        for p in range(1, 4):
-            for q in range(1, 4):
-                s = Surface(g, p, q)
-                for monos in _sample_inputs(ctx, rng, p, 6):
-                    in_h = sum(model.monomial_degree(m) + d for m in monos)
-                    out = string_operation(model, s, [model.mono_elem(m) for m in monos])
-                    for ms in out.terms:
-                        out_h = sum(model.monomial_degree(m) + d for m in ms)
-                        if out_h != in_h + s.euler_char * d:
-                            return CheckResult(
-                                "surface-degree-shift",
-                                "fail",
-                                witness=f"{s}: output degree {out_h}, expected "
-                                f"{in_h + s.euler_char * d}",
-                            )
-                    cases += 1
-    return _passed("surface-degree-shift", cases)
+    for s in _small_surfaces():
+        for monos in _sample_inputs(ctx, rng, s.inputs, 6):
+            in_h = sum(model.monomial_degree(m) + d for m in monos)
+            out = string_operation(model, s, [model.mono_elem(m) for m in monos])
+            for ms in out.terms:
+                out_h = sum(model.monomial_degree(m) + d for m in ms)
+                if out_h != in_h + s.euler_char * d:
+                    raise _Fail(
+                        f"{s}: output degree {out_h}, expected {in_h + s.euler_char * d}"
+                    )
+            cases += 1
+    return cases
 
 
-def _check_surface_certificate_sew(ctx: _Ctx) -> CheckResult:
+@_law("surface-certificate-sew")
+def _check_surface_certificate_sew(ctx: _Ctx) -> int:
     rng = ctx.rng()
-    cases = 0
     for _ in range(60):
-        s1 = _random_surface(rng)
-        s2 = Surface(rng.randint(0, 2), s1.outputs, rng.randint(1, 3))
+        s1, s2 = _random_sewable_pair(rng)
         if s1.genus >= 1 or s2.genus >= 1:
             if vanishing_certificate(sew(s1, s2)) is not VanishingReason.GENUS_AT_LEAST_ONE:
-                return CheckResult(
-                    "surface-certificate-sew", "fail", witness=f"{s1} sewn to {s2}"
-                )
-        cases += 1
-    return _passed("surface-certificate-sew", cases)
+                raise _Fail(f"{s1} sewn to {s2}")
+    return 60
 
 
-def _check_model_round_trip(ctx: _Ctx) -> CheckResult:
+@_law("model-round-trip")
+def _check_model_round_trip(ctx: _Ctx) -> int:
     text = print_model(ctx.model)
-    doc = parse_model(text)
-    if print_model(doc.model) != text:
-        return CheckResult("model-round-trip", "fail", witness="printout changed after reparse")
-    return _passed("model-round-trip", 1)
-
-
-_LAWS: list[tuple[str, Callable[[_Ctx], CheckResult]]] = [
-    ("normal-form-idempotent", _check_normal_form_idempotent),
-    ("normal-form-order-independence", _check_normal_form_order),
-    ("ring-unit-law", _check_ring_unit),
-    ("ring-associativity", _check_ring_associativity),
-    ("ring-distributivity", _check_ring_distributivity),
-    ("graded-commutativity", _check_graded_commutativity),
-    ("mul-oracle-agreement", _check_mul_oracle),
-    ("torsion-identity", _check_torsion_identity),
-    ("bracket-unit", _check_bracket_unit),
-    ("bracket-antisymmetry", _check_bracket_antisymmetry),
-    ("bracket-torsion", _check_bracket_torsion),
-    ("delta-squared", _check_delta_squared),
-    ("delta-bv-residual", _check_delta_bv_residual),
-    ("coproduct-symmetry", _check_coproduct_symmetry),
-    ("coproduct-forms-agree", _check_coproduct_forms_agree),
-    ("coproduct-concentration", _check_coproduct_concentration),
-    ("coproduct-frobenius", _check_coproduct_frobenius),
-    ("coproduct-coassociativity", _check_coproduct_coassociativity),
-    ("coproduct-delta-factorwise", _check_coproduct_delta_factorwise),
-    ("coproduct-kills-geometric-brackets", _check_coproduct_kills_geometric_brackets),
-    ("surface-closed-vs-pants", _check_surface_closed_vs_pants),
-    ("surface-functoriality", _check_surface_functoriality),
-    ("surface-degree-shift", _check_surface_degree_shift),
-    ("surface-certificate-sew", _check_surface_certificate_sew),
-    ("model-round-trip", _check_model_round_trip),
-]
+    if print_model(parse_model(text).model) != text:
+        raise _Fail("printout changed after reparse")
+    return 1
 
 
 def run_checks(doc, max_abs_degree: int = 8, seed: int = 0) -> CheckReport:
@@ -771,11 +694,8 @@ def run_checks(doc, max_abs_degree: int = 8, seed: int = 0) -> CheckReport:
         model, name = doc.model, doc.provenance
     else:
         model, name = doc, "<model>"
-        doc = None
     report = CheckReport(model_name=name, window=max_abs_degree, seed=seed)
-    ctx = _Ctx(model, doc, max_abs_degree, seed)
-    for law, fn in _LAWS:
-        result = fn(ctx)
-        assert result.law == law
-        report.results.append(result)
+    ctx = _Ctx(model, max_abs_degree, seed)
+    for _, run in _LAWS:
+        report.results.append(run(ctx))
     return report

@@ -22,7 +22,7 @@ from .algebra import Element, ModelError
 from .checks import run_checks
 from .coalgebra import TensorElement
 from .expr import EvalError, ExprError, parse_expr, evaluate
-from .modelfile import ModelDoc, ModelParseError, load_model
+from .modelfile import ModelParseError, load_model
 from .tqft import Surface, string_operation
 
 
@@ -59,44 +59,40 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _value_dict(doc: ModelDoc, value) -> dict:
-    model = doc.model
+def _print_value(args, value, payload: dict) -> int:
+    """Print a value, or with ``--json`` the payload plus its terms."""
+    if not args.json:
+        print(value)
+        return 0
+    model = value.model
     if isinstance(value, Element):
         terms = [
             {
-                "coefficient": value.terms[m],
+                "coefficient": c,
                 "monomial": model.format_monomial(m),
                 "modulus": model.modulus(m),
             }
-            for m in sorted(value.terms, key=lambda m: m.exps)
+            for m, c in value.sorted_terms()
         ]
-        return {"kind": "element", "value": str(value), "terms": terms}
-    terms = [
-        {
-            "coefficient": value.terms[ms],
-            "factors": [model.format_monomial(m) for m in ms],
-        }
-        for ms in sorted(value.terms, key=lambda ms: tuple(m.exps for m in ms))
-    ]
-    return {
-        "kind": "tensor",
-        "arity": value.arity,
-        "value": str(value),
-        "terms": terms,
-    }
+        payload.update(kind="element", value=str(value), terms=terms)
+    else:
+        terms = [
+            {
+                "coefficient": c,
+                "factors": [model.format_monomial(m) for m in ms],
+            }
+            for ms, c in value.sorted_terms()
+        ]
+        payload.update(kind="tensor", arity=value.arity, value=str(value), terms=terms)
+    print(json.dumps(payload, indent=2, sort_keys=True))
+    return 0
 
 
 def _cmd_eval(args) -> int:
     doc = load_model(args.model)
     ast = parse_expr(args.expr, doc.model)
     value = evaluate(doc.model, ast)
-    if args.json:
-        payload = {"model": doc.provenance, "expr": args.expr}
-        payload.update(_value_dict(doc, value))
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print(value)
-    return 0
+    return _print_value(args, value, {"model": doc.provenance, "expr": args.expr})
 
 
 def _cmd_basis(args) -> int:
@@ -126,33 +122,22 @@ def _cmd_tqft(args) -> int:
             f"surface expects {args.n_in} inputs but {len(args.exprs)} expressions were given"
         )
     surface = Surface(args.genus, args.n_in, args.n_out)
-    inputs = [
-        _as_scalar(doc, evaluate(doc.model, parse_expr(text, doc.model)))
-        for text in args.exprs
-    ]
+    inputs = []
+    for text in args.exprs:
+        value = evaluate(doc.model, parse_expr(text, doc.model))
+        if isinstance(value, TensorElement):
+            raise EvalError("surface inputs must be scalar elements")
+        inputs.append(value)
     value = string_operation(doc.model, surface, inputs)
     if value.arity == 1:
         value = value.as_element()
-    if args.json:
-        payload = {
-            "model": doc.provenance,
-            "genus": surface.genus,
-            "inputs": surface.inputs,
-            "outputs": surface.outputs,
-        }
-        payload.update(_value_dict(doc, value))
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print(value)
-    return 0
-
-
-def _as_scalar(doc: ModelDoc, value) -> Element:
-    if isinstance(value, TensorElement):
-        if value.arity != 1:
-            raise EvalError("surface inputs must be scalar elements")
-        return value.as_element()
-    return value
+    payload = {
+        "model": doc.provenance,
+        "genus": surface.genus,
+        "inputs": surface.inputs,
+        "outputs": surface.outputs,
+    }
+    return _print_value(args, value, payload)
 
 
 def _cmd_check(args) -> int:

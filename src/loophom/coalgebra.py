@@ -17,82 +17,30 @@ from __future__ import annotations
 from math import gcd
 from typing import Sequence
 
-from .algebra import Element, LoopModel, ModelError, Monomial
+from .algebra import Combination, Element, LoopModel, ModelError, Monomial
 
 
-class TensorElement:
+class TensorElement(Combination):
     """Integer combination of pure q-fold tensors over one model."""
 
-    __slots__ = ("model", "arity", "terms")
-    __hash__ = None
+    __slots__ = ("arity",)
 
     def __init__(self, model: LoopModel, arity: int, terms: dict[tuple[Monomial, ...], int]):
-        self.model = model
+        super().__init__(model, terms)
         self.arity = arity
-        self.terms = terms
 
-    def is_zero(self) -> bool:
-        return not self.terms
+    def _make(self, acc: dict[tuple[Monomial, ...], int]) -> "TensorElement":
+        return _from_raw(self.model, self.arity, acc)
 
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        if isinstance(other, TensorElement):
-            return (
-                self.model is other.model
-                and self.arity == other.arity
-                and self.terms == other.terms
-            )
-        if isinstance(other, int) and other == 0:
-            return not self.terms
-        return NotImplemented
-
-    def __add__(self, other):
-        if not isinstance(other, TensorElement):
-            return NotImplemented
-        return tensor_add(self, other)
-
-    def __neg__(self):
-        return tensor_scale(-1, self)
-
-    def __sub__(self, other):
-        if not isinstance(other, TensorElement):
-            return NotImplemented
-        return tensor_add(self, tensor_scale(-1, other))
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return tensor_scale(other, self)
-        return NotImplemented
-
-    __rmul__ = __mul__
+    def _format_term(self, c_abs: int, ms: tuple[Monomial, ...]) -> str:
+        body = "(" + " (x) ".join(self.model.format_monomial(m) for m in ms) + ")"
+        return body if c_abs == 1 else f"{c_abs}*{body}"
 
     def as_element(self) -> Element:
         """Convert an arity-1 tensor back to a plain element."""
         if self.arity != 1:
             raise ValueError(f"cannot convert arity-{self.arity} tensor to an element")
         return self.model.normal_form([(c, ms[0]) for ms, c in self.terms.items()])
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        model = self.model
-        bits = []
-        for ms in sorted(self.terms, key=lambda ms: tuple(m.exps for m in ms)):
-            c = self.terms[ms]
-            body = "(" + " (x) ".join(model.format_monomial(m) for m in ms) + ")"
-            if abs(c) != 1:
-                body = f"{abs(c)}*{body}"
-            bits.append(("-" if c < 0 else "+", body))
-        sign, body = bits[0]
-        out = ("-" if sign == "-" else "") + body
-        for sign, body in bits[1:]:
-            out += f" {sign} {body}"
-        return out
-
-    def __repr__(self) -> str:
-        return f"TensorElement({self})"
 
 
 def tensor_zero(model: LoopModel, arity: int) -> TensorElement:
@@ -101,17 +49,12 @@ def tensor_zero(model: LoopModel, arity: int) -> TensorElement:
     return TensorElement(model, arity, {})
 
 
-def _tuple_modulus(model: LoopModel, ms: tuple[Monomial, ...]) -> int:
-    mod = 0
-    for m in ms:
-        mod = gcd(mod, model.modulus(m))
-    return mod
-
-
 def _from_raw(model: LoopModel, arity: int, acc: dict[tuple[Monomial, ...], int]) -> TensorElement:
     terms: dict[tuple[Monomial, ...], int] = {}
     for ms, c in acc.items():
-        mod = _tuple_modulus(model, ms)
+        mod = 0
+        for m in ms:
+            mod = gcd(mod, model.modulus(m))
         if mod:
             c %= mod
         if c:
@@ -141,20 +84,11 @@ def tensor(factors: Sequence[Element]) -> TensorElement:
 
 
 def tensor_add(t1: TensorElement, t2: TensorElement) -> TensorElement:
-    if t1.model is not t2.model:
-        raise ModelError("tensors belong to different models")
-    if t1.arity != t2.arity:
-        raise ValueError(f"arity mismatch: {t1.arity} vs {t2.arity}")
-    acc = dict(t1.terms)
-    for ms, c in t2.terms.items():
-        acc[ms] = acc.get(ms, 0) + c
-    return _from_raw(t1.model, t1.arity, acc)
+    return t1 + t2
 
 
 def tensor_scale(k: int, t: TensorElement) -> TensorElement:
-    if not isinstance(k, int):
-        raise ValueError(f"scalar must be an integer, got {k!r}")
-    return _from_raw(t.model, t.arity, {ms: k * c for ms, c in t.terms.items()})
+    return t.scaled(k)
 
 
 def twist(t: TensorElement) -> TensorElement:
@@ -187,27 +121,18 @@ def contract(t: TensorElement, slot: int) -> TensorElement:
     return _from_raw(model, t.arity - 1, acc)
 
 
-def _require_coproduct_data(model: LoopModel):
-    if not model.validated or model.c0 is None:
-        raise ModelError("model not validated; call validate_model first")
-
-
 def psi(model: LoopModel, a: Element) -> TensorElement:
     """Loop coproduct: ``chi * (c0 * a) (x) c0``, extended linearly.
 
     The mirror form ``chi * c0 (x) (c0 * a)`` is equal on any model that
     is consistent with string topology; check mode compares both.
     """
-    _require_coproduct_data(model)
-    model._check_same(a)
-    return tensor_scale(model.euler, tensor([model.mul(model.c0, a), model.c0]))
+    return psi_split(model, [a], 1)
 
 
 def psi_mirror(model: LoopModel, a: Element) -> TensorElement:
     """The other closed form of the coproduct, ``chi * c0 (x) (c0 * a)``."""
-    _require_coproduct_data(model)
-    model._check_same(a)
-    return tensor_scale(model.euler, tensor([model.c0, model.mul(model.c0, a)]))
+    return psi_split(model, [a], 0)
 
 
 def psi_split(model: LoopModel, factors: Sequence[Element], ell: int = 0) -> TensorElement:
@@ -215,22 +140,20 @@ def psi_split(model: LoopModel, factors: Sequence[Element], ell: int = 0) -> Ten
 
         chi * (c0 * a_1 ... a_ell) (x) (c0 * a_(ell+1) ... a_p)
 
-    Every choice of ``ell`` gives the same value on a consistent model;
-    that independence is a checked property, not an assumption.
+    Both sides start from ``c0`` and multiply the factors on in order, so
+    the unit is never multiplied in.  Every choice of ``ell`` gives the
+    same value on a consistent model; that independence is a checked
+    property, not an assumption.
     """
-    _require_coproduct_data(model)
     factors = list(factors)
     if not 0 <= ell <= len(factors):
         raise ValueError(f"split point {ell} out of range for {len(factors)} factors")
-    left = model.unit()
+    left = right = model.c0
     for f in factors[:ell]:
         left = model.mul(left, f)
-    right = model.unit()
     for f in factors[ell:]:
         right = model.mul(right, f)
-    return tensor_scale(
-        model.euler, tensor([model.mul(model.c0, left), model.mul(model.c0, right)])
-    )
+    return tensor_scale(model.euler, tensor([left, right]))
 
 
 def apply_psi(t: TensorElement, slot: int) -> TensorElement:
@@ -238,7 +161,6 @@ def apply_psi(t: TensorElement, slot: int) -> TensorElement:
     if not 1 <= slot <= t.arity:
         raise ValueError(f"slot {slot} out of range for arity {t.arity}")
     model = t.model
-    _require_coproduct_data(model)
     acc: dict[tuple[Monomial, ...], int] = {}
     for ms, c in t.terms.items():
         expanded = psi(model, model.mono_elem(ms[slot - 1]))

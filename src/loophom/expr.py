@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Collection, Union
 
 from .algebra import RESERVED_NAMES, Element, LoopModel
-from .coalgebra import TensorElement, psi, tensor, tensor_add, tensor_scale
+from .coalgebra import TensorElement, psi, tensor
 from .tqft import Surface, string_operation
 
 
@@ -306,46 +306,24 @@ def _as_element(model: LoopModel, v: Value, what: str) -> Element:
     if isinstance(v, int):
         return model.scale(v, model.unit())
     if isinstance(v, TensorElement):
-        if v.arity == 1:
-            return v.as_element()
         raise EvalError(f"{what} must be a scalar element, got an arity-{v.arity} tensor")
     return v
 
 
-def _eval_add(model: LoopModel, left: Value, right: Value, sign: int) -> Value:
-    if isinstance(left, int) and isinstance(right, int):
-        return left + sign * right
-    if isinstance(left, TensorElement) and left.arity > 1 or isinstance(
-        right, TensorElement
-    ) and right.arity > 1:
-        if not isinstance(left, TensorElement) or not isinstance(right, TensorElement):
-            raise EvalError("cannot add a tensor and a scalar element")
-        if left.arity != right.arity:
-            raise EvalError(f"cannot add tensors of arity {left.arity} and {right.arity}")
-        return tensor_add(left, tensor_scale(sign, right))
-    a = _as_element(model, left, "operand")
-    b = _as_element(model, right, "operand")
-    return model.add(a, model.scale(sign, b))
+def _eval_add(left: Value, right: Value, op: str) -> Value:
+    if isinstance(left, TensorElement) != isinstance(right, TensorElement):
+        raise EvalError("cannot add a tensor and a scalar element")
+    if isinstance(left, TensorElement) and left.arity != right.arity:
+        raise EvalError(f"cannot add tensors of arity {left.arity} and {right.arity}")
+    return left + right if op == "+" else left - right
 
 
-def _eval_mul(model: LoopModel, left: Value, right: Value) -> Value:
-    if isinstance(left, int) and isinstance(right, int):
-        return left * right
-    if isinstance(left, int) and isinstance(right, TensorElement):
-        return tensor_scale(left, right)
-    if isinstance(right, int) and isinstance(left, TensorElement):
-        return tensor_scale(right, left)
-    if isinstance(left, TensorElement) and left.arity > 1:
+def _eval_mul(left: Value, right: Value) -> Value:
+    if (isinstance(left, TensorElement) and not isinstance(right, int)) or (
+        isinstance(right, TensorElement) and not isinstance(left, int)
+    ):
         raise EvalError("cannot multiply by an arity >= 2 tensor")
-    if isinstance(right, TensorElement) and right.arity > 1:
-        raise EvalError("cannot multiply by an arity >= 2 tensor")
-    if isinstance(left, int):
-        return model.scale(left, _as_element(model, right, "operand"))
-    if isinstance(right, int):
-        return model.scale(right, _as_element(model, left, "operand"))
-    return model.mul(
-        _as_element(model, left, "operand"), _as_element(model, right, "operand")
-    )
+    return left * right
 
 
 def _eval(model: LoopModel, ast: ExprAst, allow_calls: bool) -> Value:
@@ -354,24 +332,15 @@ def _eval(model: LoopModel, ast: ExprAst, allow_calls: bool) -> Value:
     if isinstance(ast, Name):
         return model.gen(ast.ident)
     if isinstance(ast, Neg):
-        v = _eval(model, ast.operand, allow_calls)
-        if isinstance(v, int):
-            return -v
-        if isinstance(v, TensorElement):
-            return tensor_scale(-1, v)
-        return model.scale(-1, v)
+        return -_eval(model, ast.operand, allow_calls)
     if isinstance(ast, BinOp):
         left = _eval(model, ast.left, allow_calls)
         right = _eval(model, ast.right, allow_calls)
-        if ast.op == "+":
-            return _eval_add(model, left, right, 1)
-        if ast.op == "-":
-            return _eval_add(model, left, right, -1)
-        return _eval_mul(model, left, right)
+        if ast.op == "*":
+            return _eval_mul(left, right)
+        return _eval_add(left, right, ast.op)
     if isinstance(ast, Pow):
         base = _eval(model, ast.base, allow_calls)
-        if isinstance(base, int):
-            return base**ast.exponent
         if isinstance(base, TensorElement):
             base = _as_element(model, base, "power base")
         return base**ast.exponent
@@ -407,9 +376,11 @@ def _eval(model: LoopModel, ast: ExprAst, allow_calls: bool) -> Value:
             for a in ast.args
         ]
         try:
-            return string_operation(model, surface, args)
+            value = string_operation(model, surface, args)
         except ValueError as exc:
             raise EvalError(str(exc)) from exc
+        # a single output is a plain element
+        return value.as_element() if value.arity == 1 else value
     raise TypeError(f"unknown AST node {ast!r}")
 
 
@@ -418,8 +389,6 @@ def evaluate(model: LoopModel, ast: ExprAst) -> Element | TensorElement:
     v = _eval(model, ast, allow_calls=True)
     if isinstance(v, int):
         v = model.scale(v, model.unit())
-    if isinstance(v, TensorElement) and v.arity == 1:
-        v = v.as_element()
     return v
 
 

@@ -25,7 +25,7 @@ from pathlib import Path
 
 from .algebra import GeneratorSpec, LoopModel, ModelError
 from .builtins import builtin_model
-from .expr import ExprError, evaluate_scalar, parse_expr
+from .expr import evaluate_scalar, parse_expr
 
 
 class ModelParseError(Exception):
@@ -46,9 +46,8 @@ class ModelParseError(Exception):
 
 @dataclass(frozen=True)
 class ModelDoc:
-    """A parsed model together with its source text and provenance."""
+    """A parsed model together with its provenance."""
 
-    source: str
     model: LoopModel
     provenance: str = "<string>"
 
@@ -183,7 +182,7 @@ def parse_model(text: str, provenance: str = "<string>") -> ModelDoc:
     if errors and (dim is None or euler is None):
         raise ModelParseError(errors)
 
-    # where-tag -> line map for problems raised by validation
+    # where-tag -> line map for the problems the constructor reports
     lines_for: dict[tuple, int | None] = {("model",): scalars_line.get("dim")}
     for name, ln in gen_lines.items():
         lines_for[("generator", name)] = ln
@@ -198,58 +197,34 @@ def parse_model(text: str, provenance: str = "<string>") -> ModelDoc:
     for (g1, g2), (_, ln) in brackets.items():
         lines_for[("bracket", g1, g2)] = ln
 
-    def absorb(exc: ModelError):
-        for where, msg in exc.problems:
-            errors.append((lines_for.get(tuple(where)), msg))
-
-    model = LoopModel(
-        dim=dim,
-        euler=euler,
-        generators=gens,
-        relations=rels,
-        simply_connected=simply_connected,
-    )
-    structural: list = []
-    if not model._prepare_structure(structural):
-        absorb(ModelError(structural))
-        raise ModelParseError(errors)
-
-    names = [g.name for g in gens]
-
-    def eval_rhs(rhs: str, lineno: int):
-        try:
-            ast = parse_expr(rhs, names=names)
-            return evaluate_scalar(model, ast)
-        except (ExprError, ValueError) as exc:
-            errors.append((lineno, str(exc)))
-            return None
-
-    if c0_rhs is not None:
-        model._c0_input = eval_rhs(*c0_rhs)
-    if deltas:
-        model._delta_input = {
-            name: eval_rhs(rhs, ln) for name, (rhs, ln) in deltas.items()
-        }
-    if brackets:
-        model._bracket_input = {
-            key: eval_rhs(rhs, ln) for key, (rhs, ln) in brackets.items()
-        }
-    if errors:
-        raise ModelParseError(errors)
+    def rhs(text: str):
+        # evaluated by the constructor in the ring being defined
+        return lambda model: evaluate_scalar(model, parse_expr(text, model))
 
     try:
-        from .algebra import validate_model
-
-        validate_model(model)
+        model = LoopModel(
+            dim=dim,
+            euler=euler,
+            generators=gens,
+            relations=rels,
+            c0=rhs(c0_rhs[0]) if c0_rhs is not None else None,
+            delta={name: rhs(text) for name, (text, _) in deltas.items()} if deltas else None,
+            bracket={key: rhs(text) for key, (text, _) in brackets.items()} if brackets else None,
+            simply_connected=simply_connected,
+        )
     except ModelError as exc:
-        absorb(exc)
+        reported = set(errors)  # a missing c0 is reported by the line pass too
+        for where, msg in exc.problems:
+            entry = (lines_for.get(where), msg)
+            if entry not in reported:
+                errors.append(entry)
     if errors:
         raise ModelParseError(errors)
-    return ModelDoc(source=text, model=model, provenance=provenance)
+    return ModelDoc(model=model, provenance=provenance)
 
 
 def print_model(model: LoopModel) -> str:
-    """Canonical text for a validated model; parsing it back gives an
+    """Canonical text for a model; parsing it back gives an
     equivalent model whose printout is identical."""
     lines = [f"dim = {model.dim}", f"euler = {model.euler}"]
     for g in model.generators:
@@ -280,7 +255,7 @@ def load_model(spec: str) -> ModelDoc:
     except ValueError as exc:
         raise ModelParseError([(None, str(exc))]) from exc
     if model is not None:
-        return ModelDoc(source=print_model(model), model=model, provenance=spec)
+        return ModelDoc(model=model, provenance=spec)
     path = Path(spec)
     if not path.is_file():
         raise ModelParseError(

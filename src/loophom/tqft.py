@@ -60,10 +60,6 @@ class Surface:
         return f"(g={self.genus}, in={self.inputs}, out={self.outputs})"
 
 
-def euler_char(s: Surface) -> int:
-    return s.euler_char
-
-
 def sew(s1: Surface, s2: Surface) -> Surface:
     """Glue all outputs of ``s1`` to all inputs of ``s2``."""
     if s1.outputs != s2.inputs:
@@ -116,7 +112,7 @@ def string_operation(model: LoopModel, s: Surface, inputs: InputLike) -> TensorE
             for m in ms:
                 prod = model.mul(prod, model.mono_elem(m))
             out = model.add(out, model.scale(c, prod))
-        return tensor([out]) if out else tensor_zero(model, 1)
+        return tensor([out])
     out2 = tensor_zero(model, 2)
     for ms, c in t.terms.items():
         piece = psi_split(model, [model.mono_elem(m) for m in ms], 0)

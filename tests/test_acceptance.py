@@ -14,7 +14,6 @@ from loophom import (
     Surface,
     apply_delta_factorwise,
     apply_psi,
-    euler_char,
     load_model,
     projective_space,
     psi,
@@ -188,7 +187,7 @@ def test_07_functoriality_and_degree_shift():
                 in_h = sum(model.monomial_degree(m) + d for m in picked)
                 for ms in direct.terms:
                     out_h = sum(model.monomial_degree(m) + d for m in ms)
-                    if out_h != in_h + euler_char(glued) * d:
+                    if out_h != in_h + glued.euler_char * d:
                         problems.append(f"{name}: degree shift for {glued}")
     finish("07 functoriality-and-degree-shift", problems)
 

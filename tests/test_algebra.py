@@ -30,7 +30,6 @@ def test_sphere_presentation_accepted(s4):
 
 
 def test_generator_parity_is_derived(s4):
-    assert [g.parity for g in s4.generators] == [1, 0, 0]
     assert [g.is_odd for g in s4.generators] == [True, False, False]
 
 

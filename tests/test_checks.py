@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loophom import DenseOracle, LoopModel, Monomial, load_model, run_checks
+from loophom import DenseOracle, LoopModel, Monomial, checks, load_model, run_checks
+from loophom.cli import main
 
 CHECK_DETAILS = Path(__file__).parent / "data" / "check_details_w24_seed0.json"
 
@@ -246,3 +247,45 @@ def test_normal_form_agrees_with_oracle_reduce(s4):
         engine = s4.normal_form([(c, Monomial(e)) for c, e in raw])
         want = oracle.reduce(raw)
         assert {m.exps: c for m, c in engine.terms.items()} == want
+
+
+# The only nilpotence relation on a is the gcd of 2*a^2 and 3*a^3.
+GCD_NILPOTENT_TEXT = """\
+dim = 2
+euler = 0
+generator a deg = -2
+relation 2 * a^2
+relation 3 * a^3
+c0 = a
+"""
+
+
+def test_oracle_bounds_gcd_nilpotent_generator(tmp_path, capsys):
+    path = tmp_path / "gcd.model"
+    path.write_text(GCD_NILPOTENT_TEXT)
+    assert main(["check", "--model", str(path), "--window", "4"]) == 0
+    assert capsys.readouterr().out.endswith("result: PASS (18 passed, 0 failed, 7 skipped)\n")
+    oracle = DenseOracle(load_model(str(path)).model, 4)
+    assert oracle.basis == {0: [(0,)], -2: [(1,)], -4: [(2,)]}
+    report = run_checks(load_model(str(path)), max_abs_degree=4, seed=0)
+    result = next(r for r in report.results if r.law == "mul-oracle-agreement")
+    assert (result.status, result.detail) == ("pass", "9 cases")
+
+
+def test_law_that_raises_is_reported_as_error(monkeypatch, capsys):
+    def broken_twist(t):
+        raise RuntimeError("twist is broken")
+
+    monkeypatch.setattr(checks, "twist", broken_twist)
+    report = run_checks(load_model("sphere:2"), max_abs_degree=4, seed=0)
+    assert len(report.results) == 25
+    errors = [r for r in report.results if r.status == "error"]
+    assert [(r.law, r.witness) for r in errors] == [
+        ("coproduct-symmetry", "RuntimeError: twist is broken")
+    ]
+    assert not report.passed
+    assert "ERROR coproduct-symmetry witness: RuntimeError: twist is broken\n" in report.render_text()
+    assert report.render_text().endswith("result: FAIL (17 passed, 1 failed, 7 skipped)\n")
+    assert json.loads(report.render_json())["passed"] is False
+    assert main(["check", "--model", "sphere:2", "--window", "4"]) == 1
+    assert "ERROR coproduct-symmetry" in capsys.readouterr().out

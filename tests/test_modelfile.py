@@ -1,5 +1,9 @@
 """Model file format: parsing, validation with line numbers, round trips."""
 
+import json
+import re
+from pathlib import Path
+
 import pytest
 
 from loophom import (
@@ -170,3 +174,52 @@ def test_relation_on_unit_monomial_parses():
     with pytest.raises(ModelParseError) as exc:
         parse_model(text)
     assert any("must be homogeneous" in msg for _, msg in exc.value.errors)
+
+
+# One-edit variants of the built-in printouts with the outcome each had
+# before models were built in one step: the printout when it parsed, else
+# the ModelParseError list.
+CORPUS = Path(__file__).parent / "data" / "modelfile_corpus.json"
+CORPUS_MODELS = ("sphere:2", "sphere:3", "sphere:4", "cpn:1", "cpn:2", "toy:bv0")
+
+
+def one_edit_variants(text):
+    """Delete each line, duplicate each line, replace each integer with 0,
+    -1, 3 and 7, replace each identifier with ``zz``, append ``bogus``."""
+    lines = text.splitlines()
+    out = ["\n".join(lines[:i] + lines[i + 1 :]) + "\n" for i in range(len(lines))]
+    out += ["\n".join(lines[: i + 1] + lines[i:]) + "\n" for i in range(len(lines))]
+    for m in re.finditer(r"-?\d+", text):
+        out += [text[: m.start()] + r + text[m.end() :] for r in ("0", "-1", "3", "7")]
+    for m in re.finditer(r"[A-Za-z]+", text):
+        out.append(text[: m.start()] + "zz" + text[m.end() :])
+    out.append(text + "bogus\n")
+    return out
+
+
+def test_corpus_is_the_one_edit_variants_of_the_builtins():
+    texts = []
+    for name in CORPUS_MODELS:
+        texts += one_edit_variants(print_model(load_model(name).model))
+    corpus = json.loads(CORPUS.read_text())
+    assert [entry["text"] for entry in corpus] == list(dict.fromkeys(texts))
+    assert (len(corpus), sum(entry["errors"] is not None for entry in corpus)) == (458, 352)
+
+
+def test_corpus_outcomes_unchanged():
+    # Building the model in one step checks every value even after a
+    # right-hand side or a line fails, so a few files gain true problems
+    # at the end of their list (an unknown generator on the delta and
+    # bracket lines, a delta without a bracket line).
+    extended = 0
+    for entry in json.loads(CORPUS.read_text()):
+        try:
+            doc = parse_model(entry["text"])
+        except ModelParseError as exc:
+            assert entry["errors"] is not None, entry["text"]
+            before = [tuple(e) for e in entry["errors"]]
+            assert exc.errors[: len(before)] == before, entry["text"]
+            extended += len(exc.errors) > len(before)
+        else:
+            assert print_model(doc.model) == entry["printout"], entry["text"]
+    assert extended == 11

@@ -7,7 +7,6 @@ import pytest
 from loophom import (
     Surface,
     VanishingReason,
-    euler_char,
     sew,
     string_operation,
     string_operation_via_pants,
@@ -21,9 +20,9 @@ from loophom import (
 
 
 def test_euler_characteristics():
-    assert euler_char(Surface(0, 2, 1)) == -1
-    assert euler_char(Surface(1, 1, 1)) == -2
-    assert euler_char(Surface(0, 1, 3)) == -2
+    assert Surface(0, 2, 1).euler_char == -1
+    assert Surface(1, 1, 1).euler_char == -2
+    assert Surface(0, 1, 3).euler_char == -2
 
 
 def test_surface_field_validation():
@@ -47,7 +46,7 @@ def test_sew_additivity_of_euler_characteristic():
     for _ in range(50):
         s1 = Surface(rng.randint(0, 3), rng.randint(0, 3), rng.randint(1, 3))
         s2 = Surface(rng.randint(0, 3), s1.outputs, rng.randint(1, 3))
-        assert euler_char(sew(s1, s2)) == euler_char(s1) + euler_char(s2)
+        assert sew(s1, s2).euler_char == s1.euler_char + s2.euler_char
 
 
 def test_sew_mismatch_rejected():
@@ -185,4 +184,4 @@ def test_degree_shift_of_nonzero_outputs(s4, cp2):
                 out = string_operation(model, s, [model.mono_elem(m) for m in picked])
                 for ms in out.terms:
                     out_h = sum(model.monomial_degree(m) + d for m in ms)
-                    assert out_h == in_h + euler_char(s) * d
+                    assert out_h == in_h + s.euler_char * d
