@@ -300,8 +300,9 @@ class LoopModel:
         a callable ``f(model) -> Element`` that builds the value in the
         model being defined.  Callables run once the generators and
         relations are set up, before any value is checked, in the order
-        c0, delta, bracket; a ``ValueError`` one raises is recorded as a
-        problem under that value's where-tag.
+        c0, delta, bracket; a ``ValueError`` one raises, like a value of
+        none of these forms, is recorded as a problem under that value's
+        where-tag.
 
         Problems in the generators, then in the relations, then in the
         nilpotence caps end the check early; the other data are checked
@@ -549,7 +550,12 @@ class LoopModel:
         if raw is _FAILED:
             return None
         try:
-            value = self._coerce_element_input(raw)
+            if isinstance(raw, int):
+                value = self.scale(raw, self.unit())
+            elif isinstance(raw, Mapping):
+                value = self.mono_elem(raw)
+            else:
+                value = self.normal_form(raw)
         except ModelError as exc:
             problems.append((where, str(exc)))
             return None
@@ -603,16 +609,6 @@ class LoopModel:
     def zero(self) -> Element:
         return Element(self, {})
 
-    def _coerce_element_input(self, raw: RawTerms) -> Element:
-        if isinstance(raw, Element):
-            self._check_same(raw)
-            return raw
-        if isinstance(raw, int):
-            return self.scale(raw, self.unit())
-        if isinstance(raw, Mapping):
-            return self.normal_form([(1, raw)])
-        return self.normal_form(raw)
-
     # -- normal forms ------------------------------------------------------
 
     def modulus(self, m: Monomial) -> int:
@@ -641,18 +637,20 @@ class LoopModel:
                 terms[m] = c
         return Element(self, terms)
 
-    def normal_form(self, raw: RawTerms) -> Element:
-        """Canonical element of a formal integer combination of monomials."""
+    def normal_form(self, raw: Element | Iterable[tuple[int, MonomialLike]]) -> Element:
+        """Canonical element of an element or of a formal integer
+        combination given as ``(coefficient, monomial)`` pairs."""
         if isinstance(raw, Element):
             self._check_same(raw)
             return self._from_raw(dict(raw.terms))
+        try:
+            pairs = [(coeff, mono_raw) for coeff, mono_raw in raw]
+        except (TypeError, ValueError):
+            raise ModelError(
+                f"expected an element or (coefficient, monomial) pairs, got {raw!r}"
+            ) from None
         acc: dict[Monomial, int] = {}
-        items = raw.items() if isinstance(raw, Mapping) else raw
-        for entry in items:
-            if isinstance(raw, Mapping):
-                mono_raw, coeff = entry
-            else:
-                coeff, mono_raw = entry
+        for coeff, mono_raw in pairs:
             if not isinstance(coeff, int):
                 raise ModelError(f"coefficient must be an integer, got {coeff!r}")
             m = self.monomial(mono_raw)

@@ -352,7 +352,7 @@ def _check_ring_associativity(ctx: _Ctx) -> int:
     # exhaustive over a small sub-window of monomials, then random elements;
     # every x*y and y*z is computed once, and the triples keep the x, y, z
     # order of a plain triple loop, so the first failing triple is the same
-    small = [model.mono_elem(m) for _, m, _ in model.basis_window(min(ctx.window, 4))]
+    small = [x for (d, _, _), x in zip(ctx.basis, ctx.elems) if abs(d) <= 4]
     yz_table = [[model.mul(y, z) for z in small] for y in small]
     for x in small:
         for y, yz_row in zip(small, yz_table):

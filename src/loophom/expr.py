@@ -22,7 +22,7 @@ integer multiples of the unit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Collection, Union
+from typing import Union
 
 from .algebra import RESERVED_NAMES, Element, LoopModel
 from .coalgebra import TensorElement, psi, tensor
@@ -147,10 +147,10 @@ def _tokenize(text: str) -> list[_Token]:
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token], names: Collection[str]):
+    def __init__(self, tokens: list[_Token], names: set[str]):
         self.tokens = tokens
         self.pos = 0
-        self.names = set(names)
+        self.names = names
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -245,8 +245,7 @@ class _Parser:
         self.fail(f"expected a value, got '{tok.text or 'end of input'}'", tok)
 
     def call(self) -> ExprAst:
-        tok = self.next()
-        func = tok.text
+        func = self.next().text
         self.expect_op("(")
         if func == "mu":
             genus = self.int_literal()
@@ -255,24 +254,20 @@ class _Parser:
             self.expect_op(",")
             outputs = self.int_literal()
             self.expect_op(";")
-            args = []
-            if not (self.peek().kind == "OP" and self.peek().text == ")"):
-                args.append(self.tensor())
-                while self.peek().kind == "OP" and self.peek().text == ",":
-                    self.next()
-                    args.append(self.tensor())
-            close = self.expect_op(")")
+        # only mu may take no arguments
+        at_close = self.peek().kind == "OP" and self.peek().text == ")"
+        args = [] if func == "mu" and at_close else [self.tensor()]
+        while self.peek().kind == "OP" and self.peek().text == ",":
+            self.next()
+            args.append(self.tensor())
+        close = self.expect_op(")")
+        if func == "mu":
             if len(args) != inputs:
                 raise ExprError(
                     f"mu declared {inputs} inputs but got {len(args)} arguments",
                     close.pos + 1,
                 )
             return MuCall(genus, inputs, outputs, tuple(args))
-        args = [self.tensor()]
-        while self.peek().kind == "OP" and self.peek().text == ",":
-            self.next()
-            args.append(self.tensor())
-        close = self.expect_op(")")
         want = 2 if func == "bracket" else 1
         if len(args) != want:
             raise ExprError(
@@ -282,19 +277,10 @@ class _Parser:
         return Call(func, tuple(args))
 
 
-def parse_expr(
-    text: str,
-    model: LoopModel | None = None,
-    *,
-    names: Collection[str] | None = None,
-) -> ExprAst:
-    """Parse an expression, resolving identifiers against a model (or an
-    explicit name set)."""
-    if names is None:
-        if model is None:
-            raise ValueError("parse_expr needs a model or a name set")
-        names = [g.name for g in model.generators]
-    return _Parser(_tokenize(text), names).parse()
+def parse_expr(text: str, model: LoopModel) -> ExprAst:
+    """Parse an expression, resolving identifiers against the model's
+    generators."""
+    return _Parser(_tokenize(text), {g.name for g in model.generators}).parse()
 
 
 # -- evaluation -----------------------------------------------------------------
@@ -302,12 +288,15 @@ def parse_expr(
 Value = Union[int, Element, TensorElement]
 
 
+def _lift(model: LoopModel, v: Value) -> Element | TensorElement:
+    """An integer as that multiple of the unit; other values unchanged."""
+    return model.scale(v, model.unit()) if isinstance(v, int) else v
+
+
 def _as_element(model: LoopModel, v: Value, what: str) -> Element:
-    if isinstance(v, int):
-        return model.scale(v, model.unit())
     if isinstance(v, TensorElement):
         raise EvalError(f"{what} must be a scalar element, got an arity-{v.arity} tensor")
-    return v
+    return _lift(model, v)
 
 
 def _eval_add(left: Value, right: Value, op: str) -> Value:
@@ -386,19 +375,13 @@ def _eval(model: LoopModel, ast: ExprAst, allow_calls: bool) -> Value:
 
 def evaluate(model: LoopModel, ast: ExprAst) -> Element | TensorElement:
     """Evaluate an AST to a canonical element or tensor."""
-    v = _eval(model, ast, allow_calls=True)
-    if isinstance(v, int):
-        v = model.scale(v, model.unit())
-    return v
+    return _lift(model, _eval(model, ast, allow_calls=True))
 
 
 def evaluate_scalar(model: LoopModel, ast: ExprAst) -> Element:
     """Evaluate an AST restricted to plain ring arithmetic (used for the
     right-hand sides in model files)."""
-    v = _eval(model, ast, allow_calls=False)
-    if isinstance(v, int):
-        v = model.scale(v, model.unit())
-    return v
+    return _lift(model, _eval(model, ast, allow_calls=False))
 
 
 def run_expr(model: LoopModel, text: str) -> Element | TensorElement:

@@ -83,119 +83,78 @@ def parse_model(text: str, provenance: str = "<string>") -> ModelDoc:
     its line number where one applies.
     """
     errors: list[tuple[int | None, str]] = []
-    dim = euler = None
-    scalars_line: dict[str, int] = {}
+    # where-tag -> line of the statement that claimed it: a second claim is
+    # a duplicate, and the constructor reports its problems under these tags
+    lines: dict[tuple, int] = {}
+    dim = euler = c0 = None
     gens: list[GeneratorSpec] = []
-    gen_lines: dict[str, int] = {}
     rels: list[tuple[int, dict[str, int]]] = []
-    rel_lines: list[int] = []
-    c0_rhs: tuple[str, int] | None = None
-    deltas: dict[str, tuple[str, int]] = {}
-    brackets: dict[tuple[str, str], tuple[str, int]] = {}
-    simply_connected = False
-    flag_line = None
+    deltas: dict[str, str] = {}
+    brackets: dict[tuple[str, str], str] = {}
+
+    def claim(tag: tuple, what: str, first_on: str = "first on") -> bool:
+        """Record the current line under ``tag``; False, with the duplicate
+        error, if an earlier line has it."""
+        first = lines.setdefault(tag, lineno)
+        if first != lineno:
+            errors.append((lineno, f"duplicate {what} ({first_on} line {first})"))
+        return first == lineno
 
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        m = _DIM_RE.match(line)
-        if m:
-            key = m.group(1)
-            if key in scalars_line:
-                errors.append((lineno, f"duplicate '{key}' (first on line {scalars_line[key]})"))
-                continue
-            scalars_line[key] = lineno
-            if key == "dim":
-                dim = int(m.group(2))
-            else:
-                euler = int(m.group(2))
-            continue
-        m = _GEN_RE.match(line)
-        if m:
+        if m := _DIM_RE.match(line):
+            key, value = m.group(1), int(m.group(2))
+            if claim((key,), f"'{key}'"):
+                if key == "dim":
+                    dim = value
+                else:
+                    euler = value
+        elif m := _GEN_RE.match(line):
             name = m.group(1)
-            if name in gen_lines:
-                errors.append(
-                    (lineno, f"duplicate generator '{name}' (first declared on line {gen_lines[name]})")
-                )
-                continue
-            gen_lines[name] = lineno
-            gens.append(GeneratorSpec(name, int(m.group(2)), bool(m.group(3))))
-            continue
-        m = _REL_RE.match(line)
-        if m:
+            if claim(("generator", name), f"generator '{name}'", "first declared on"):
+                gens.append(GeneratorSpec(name, int(m.group(2)), bool(m.group(3))))
+        elif m := _REL_RE.match(line):
             coeff = int(m.group(1))
             if coeff < 1:
                 errors.append((lineno, f"relation coefficient must be positive, got {coeff}"))
                 continue
             try:
-                exps = _parse_monomial_text(m.group(2))
+                rels.append((coeff, _parse_monomial_text(m.group(2))))
             except ValueError as exc:
                 errors.append((lineno, str(exc)))
                 continue
-            rels.append((coeff, exps))
-            rel_lines.append(lineno)
-            continue
-        m = _C0_RE.match(line)
-        if m:
-            if c0_rhs is not None:
-                errors.append((lineno, f"duplicate 'c0' (first on line {c0_rhs[1]})"))
-                continue
-            c0_rhs = (m.group(1), lineno)
-            continue
-        m = _FLAG_RE.match(line)
-        if m:
+            lines[("relation", len(rels))] = lineno
+        elif m := _C0_RE.match(line):
+            if claim(("c0",), "'c0'"):
+                c0 = m.group(1)
+        elif m := _FLAG_RE.match(line):
             if m.group(1) != "simply_connected":
                 errors.append((lineno, f"unknown flag '{m.group(1)}'"))
-                continue
-            if simply_connected:
-                errors.append((lineno, f"duplicate flag (first on line {flag_line})"))
-                continue
-            simply_connected, flag_line = True, lineno
-            continue
-        m = _DELTA_RE.match(line)
-        if m:
+            else:
+                claim(("flag",), "flag")
+        elif m := _DELTA_RE.match(line):
             name = m.group(1)
-            if name in deltas:
-                errors.append((lineno, f"duplicate delta for '{name}' (first on line {deltas[name][1]})"))
-                continue
-            deltas[name] = (m.group(2), lineno)
-            continue
-        m = _BRACKET_RE.match(line)
-        if m:
-            key = (m.group(1), m.group(2))
-            if key in brackets:
-                errors.append(
-                    (lineno, f"duplicate bracket for [{key[0]},{key[1]}] (first on line {brackets[key][1]})")
-                )
-                continue
-            brackets[key] = (m.group(3), lineno)
-            continue
-        errors.append((lineno, f"unrecognized statement: {line!r}"))
+            if claim(("delta", name), f"delta for '{name}'"):
+                deltas[name] = m.group(2)
+                lines.setdefault(("delta",), lineno)
+        elif m := _BRACKET_RE.match(line):
+            g1, g2 = m.group(1), m.group(2)
+            if claim(("bracket", g1, g2), f"bracket for [{g1},{g2}]"):
+                brackets[(g1, g2)] = m.group(3)
+        else:
+            errors.append((lineno, f"unrecognized statement: {line!r}"))
 
     if dim is None:
         errors.append((None, "dim required"))
     if euler is None:
         errors.append((None, "euler required"))
-    if c0_rhs is None:
+    if c0 is None:
         errors.append((None, "c0 required"))
     if errors and (dim is None or euler is None):
         raise ModelParseError(errors)
-
-    # where-tag -> line map for the problems the constructor reports
-    lines_for: dict[tuple, int | None] = {("model",): scalars_line.get("dim")}
-    for name, ln in gen_lines.items():
-        lines_for[("generator", name)] = ln
-    for pos, ln in enumerate(rel_lines, 1):
-        lines_for[("relation", pos)] = ln
-    if c0_rhs is not None:
-        lines_for[("c0",)] = c0_rhs[1]
-    for name, (_, ln) in deltas.items():
-        lines_for[("delta", name)] = ln
-    if deltas:
-        lines_for[("delta",)] = min(ln for _, ln in deltas.values())
-    for (g1, g2), (_, ln) in brackets.items():
-        lines_for[("bracket", g1, g2)] = ln
+    lines[("model",)] = lines[("dim",)]  # whole-model problems go on the dim line
 
     def rhs(text: str):
         # evaluated by the constructor in the ring being defined
@@ -207,15 +166,15 @@ def parse_model(text: str, provenance: str = "<string>") -> ModelDoc:
             euler=euler,
             generators=gens,
             relations=rels,
-            c0=rhs(c0_rhs[0]) if c0_rhs is not None else None,
-            delta={name: rhs(text) for name, (text, _) in deltas.items()} if deltas else None,
-            bracket={key: rhs(text) for key, (text, _) in brackets.items()} if brackets else None,
-            simply_connected=simply_connected,
+            c0=rhs(c0) if c0 is not None else None,
+            delta={name: rhs(text) for name, text in deltas.items()} if deltas else None,
+            bracket={key: rhs(text) for key, text in brackets.items()} if brackets else None,
+            simply_connected=("flag",) in lines,
         )
     except ModelError as exc:
         reported = set(errors)  # a missing c0 is reported by the line pass too
         for where, msg in exc.problems:
-            entry = (lines_for.get(where), msg)
+            entry = (lines.get(where), msg)
             if entry not in reported:
                 errors.append(entry)
     if errors:

@@ -100,6 +100,29 @@ def test_reserved_generator_name_rejected():
         LoopModel.create(dim=2, euler=2, generators=[("psi", -2)], c0={"psi": 1})
 
 
+@pytest.mark.parametrize(
+    "data, where",
+    [
+        ({"c0": "a"}, ("c0",)),
+        ({"c0": 3.5}, ("c0",)),
+        ({"c0": [("a",)]}, ("c0",)),
+        ({"delta": {"a": "x"}, "bracket": {}}, ("delta", "a")),
+        ({"bracket": {("a", "a"): 2.0}}, ("bracket", "a", "a")),
+    ],
+)
+def test_malformed_data_value_is_a_problem(data, where):
+    with pytest.raises(ModelError) as info:
+        LoopModel(
+            dim=2,
+            euler=2,
+            generators=[("a", -2)],
+            relations=[(1, {"a": 2})],
+            **{"c0": {"a": 1}, **data},
+        )
+    [(got, message)] = info.value.problems
+    assert got == where and "(coefficient, monomial) pairs" in message
+
+
 def test_nonpositive_relation_coefficient_rejected():
     with pytest.raises(ModelError, match="positive integer"):
         LoopModel.create(

@@ -1,5 +1,9 @@
 """Expression grammar: parsing, precedence, evaluation, print round trips."""
 
+import json
+import re
+from pathlib import Path
+
 import pytest
 
 from loophom import (
@@ -8,6 +12,8 @@ from loophom import (
     ExprError,
     ModelError,
     TensorElement,
+    evaluate,
+    load_model,
     parse_expr,
     run_expr,
     tensor,
@@ -30,17 +36,17 @@ def test_parse_mu_call(s4):
 
 
 def test_psi_arity_error(s4):
-    with pytest.raises(ExprError, match="takes 1 argument"):
+    with pytest.raises(ExprError, match=r"takes 1 argument, got 2 \(column 8\)"):
         parse_expr("psi(a,b)", s4)
 
 
 def test_bracket_arity_error(s4):
-    with pytest.raises(ExprError, match="takes 2 arguments"):
+    with pytest.raises(ExprError, match=r"takes 2 arguments, got 1 \(column 10\)"):
         parse_expr("bracket(a)", s4)
 
 
 def test_mu_arity_mismatch(s4):
-    with pytest.raises(ExprError, match="declared 2 inputs but got 1"):
+    with pytest.raises(ExprError, match=r"declared 2 inputs but got 1 arguments \(column 12\)"):
         parse_expr("mu(0,2,1; a)", s4)
 
 
@@ -208,3 +214,44 @@ def test_print_reparse_random_elements(s4):
         ]
         value = s4.normal_form(pairs)
         assert run_expr(s4, str(value)) == value
+
+
+# -- one-edit corpus -----------------------------------------------------------------
+
+# The ``eval`` expressions the benchmark's query-mix sends to built-in
+# models ("bases"), and one-edit variants of each with the outcome each had
+# before the parser and evaluator were simplified: the printed value, or
+# the error class and message.
+EXPR_CORPUS = Path(__file__).parent / "data" / "expr_corpus.json"
+
+
+def expr_variants(text):
+    """Delete each character, replace each integer with 0, 3 and 7, replace
+    each identifier with ``zz``."""
+    out = [text[:i] + text[i + 1 :] for i in range(len(text))]
+    for m in re.finditer(r"\d+", text):
+        out += [text[: m.start()] + r + text[m.end() :] for r in ("0", "3", "7")]
+    for m in re.finditer(r"[A-Za-z_]\w*", text):
+        out.append(text[: m.start()] + "zz" + text[m.end() :])
+    return out
+
+
+def test_expr_corpus_is_the_one_edit_variants_of_the_bases():
+    corpus = json.loads(EXPR_CORPUS.read_text())
+    variants = [(model, v) for model, text in corpus["bases"] for v in expr_variants(text)]
+    entries = [(e["model"], e["text"]) for e in corpus["entries"]]
+    assert entries == list(dict.fromkeys(variants))
+    assert (len(corpus["bases"]), len(entries)) == (343, 5728)
+
+
+def test_expr_corpus_outcomes_unchanged():
+    models = {}
+    for entry in json.loads(EXPR_CORPUS.read_text())["entries"]:
+        if entry["model"] not in models:
+            models[entry["model"]] = load_model(entry["model"]).model
+        model = models[entry["model"]]
+        try:
+            outcome = {"value": str(evaluate(model, parse_expr(entry["text"], model)))}
+        except (ExprError, EvalError, ModelError) as exc:
+            outcome = {"error": [type(exc).__name__, str(exc)]}
+        assert {"model": entry["model"], "text": entry["text"], **outcome} == entry
