@@ -19,10 +19,12 @@ stored reduced into ``{0, ..., modulus-1}`` when the modulus is positive,
 so modulus 1 kills a monomial outright.  Odd-degree generators square to
 zero; the implicit relations are appended when the model is built.
 
-Monomials: a :class:`Monomial` is a named tuple holding one exponent
-tuple, so hashing and equality run in C and monomials serve directly as
-dict keys.  Element terms are always in normal form, hence every odd
-generator appears with exponent 0 or 1.
+Monomials are plain exponent tuples in generator declaration order
+(``Monomial`` is ``tuple``), so hashing, equality and ordering run in C
+and monomials serve directly as dict keys.  Element terms are always in
+normal form, hence every odd generator appears with exponent 0 or 1.
+Each linear map (sum, bracket, BV operator) adds its pieces into one raw
+dict and reduces it once, in ``Combination._sum``.
 
 Product signs: concatenating two monomials and sorting the letters back
 into declaration order moves each odd letter of the right factor past
@@ -41,8 +43,8 @@ import itertools
 import re
 from dataclasses import dataclass
 from math import gcd
-from operator import add
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, Union
+from operator import add, le
+from typing import Callable, Iterable, Mapping, Sequence, Union
 
 #: ``degree_of`` result for the zero element.
 ZERO = "zero"
@@ -88,21 +90,8 @@ class GeneratorSpec:
         return self.degree % 2 == 1
 
 
-class Monomial(NamedTuple):
-    """Exponent vector over a model's generators, in declaration order."""
-
-    exps: tuple[int, ...]
-
-    def is_unit(self) -> bool:
-        return not any(self.exps)
-
-    def divides(self, other: "Monomial") -> bool:
-        return len(self.exps) == len(other.exps) and all(
-            a <= b for a, b in zip(self.exps, other.exps)
-        )
-
-    def total_exponent(self) -> int:
-        return sum(self.exps)
+#: A monomial: its exponent tuple over a model's generators, in declaration order.
+Monomial = tuple
 
 
 @dataclass(frozen=True, slots=True)
@@ -113,7 +102,7 @@ class Relation:
     monomial: Monomial
 
 
-MonomialLike = Union[Monomial, Mapping[str, int], Sequence[int]]
+MonomialLike = Union[Mapping[str, int], Sequence[int]]
 RawTerms = Union[
     "Element",
     int,
@@ -132,8 +121,8 @@ class Combination:
     canonical range of the key's modulus, so instances are canonical;
     they are also immutable.  Two combinations are equal iff they have
     the same type, model, arity and terms; comparing with the integer 0
-    tests for zero.  Keys sort as their exponent tuples, which fixes the
-    printing order.
+    tests for zero.  Keys are exponent tuples (or tuples of them), and
+    their natural order fixes the printing order.
 
     A subclass supplies ``_make`` (reduce a raw key-to-coefficient dict
     to a canonical combination of its own type and arity) and
@@ -181,9 +170,15 @@ class Combination:
             raise ModelError("elements belong to different models")
         if other.arity != self.arity:
             raise ValueError(f"arity mismatch: {self.arity} vs {other.arity}")
-        acc = dict(self.terms)
-        for key, c in other.terms.items():
-            acc[key] = acc.get(key, 0) + sign * c
+        return self._sum(((1, self), (sign, other)))
+
+    def _sum(self, pieces):
+        """The sum of ``k * piece`` over ``(k, piece)`` pairs, reduced once;
+        ``self`` fixes only the type, model and arity of the result."""
+        acc: dict = {}
+        for k, piece in pieces:
+            for key, c in piece.terms.items():
+                acc[key] = acc.get(key, 0) + k * c
         return self._make(acc)
 
     def __add__(self, other):
@@ -237,7 +232,7 @@ class Element(Combination):
         return self.model._from_raw(acc)
 
     def _format_term(self, c_abs: int, m: Monomial) -> str:
-        if m.is_unit():
+        if not any(m):
             return str(c_abs)
         body = self.model.format_monomial(m)
         return body if c_abs == 1 else f"{c_abs}*{body}"
@@ -320,11 +315,6 @@ class LoopModel:
         self._set_presentation(generators, relations)
         self._set_data(c0, delta, bracket)
 
-    @classmethod
-    def create(cls, **kwargs) -> "LoopModel":
-        """Alias of the constructor."""
-        return cls(**kwargs)
-
     def __repr__(self) -> str:
         names = ",".join(g.name for g in self.generators) or "?"
         return f"<LoopModel dim={self.dim} euler={self.euler} generators=[{names}]>"
@@ -406,7 +396,7 @@ class LoopModel:
 
         n = len(gens)
         implicit = [
-            Relation(1, Monomial(tuple(2 if j == i else 0 for j in range(n))))
+            Relation(1, tuple(2 if j == i else 0 for j in range(n)))
             for i in self._odd_idx
         ]
         self._all_relations = self.relations + tuple(implicit)
@@ -415,13 +405,13 @@ class LoopModel:
         # relations; one on the unit monomial is a pure power of every one
         powers: list[list[tuple[int, int]]] = [[] for _ in gens]
         for rel in self._all_relations:
-            support = [i for i, e in enumerate(rel.monomial.exps) if e]
+            support = [i for i, e in enumerate(rel.monomial) if e]
             if not support:
                 for pw in powers:
                     pw.append((0, rel.coeff))
             elif len(support) == 1:
                 i = support[0]
-                powers[i].append((rel.monomial.exps[i], rel.coeff))
+                powers[i].append((rel.monomial[i], rel.coeff))
         caps: list[int | None] = []
         for g, pw in zip(gens, powers):
             # smallest e with g^e = 0
@@ -574,11 +564,7 @@ class LoopModel:
 
     def monomial(self, raw: MonomialLike) -> Monomial:
         n = len(self.generators)
-        if isinstance(raw, Monomial):
-            if len(raw.exps) != n:
-                raise ModelError(f"monomial has {len(raw.exps)} exponents, expected {n}")
-            exps = raw.exps
-        elif isinstance(raw, Mapping):
+        if isinstance(raw, Mapping):
             vec = [0] * n
             for name, e in raw.items():
                 if name not in self._index:
@@ -586,15 +572,18 @@ class LoopModel:
                 vec[self._index[name]] += e
             exps = tuple(vec)
         else:
-            exps = tuple(raw)
+            try:
+                exps = tuple(raw)
+            except TypeError:
+                raise ModelError(f"monomial must be a mapping or a sequence of exponents, got {raw!r}") from None
             if len(exps) != n:
                 raise ModelError(f"monomial has {len(exps)} exponents, expected {n}")
         if any(not isinstance(e, int) or e < 0 for e in exps):
             raise ModelError(f"exponents must be non-negative integers, got {exps}")
-        return Monomial(exps)
+        return exps
 
     def _gen_monomial(self, i: int) -> Monomial:
-        return Monomial(tuple(1 if j == i else 0 for j in range(len(self.generators))))
+        return tuple(1 if j == i else 0 for j in range(len(self.generators)))
 
     def mono_elem(self, raw: MonomialLike) -> Element:
         """The element ``1 * monomial`` in normal form."""
@@ -604,7 +593,7 @@ class LoopModel:
         return self.mono_elem({name: 1})
 
     def unit(self) -> Element:
-        return self._from_raw({Monomial((0,) * len(self.generators)): 1})
+        return self._from_raw({(0,) * len(self.generators): 1})
 
     def zero(self) -> Element:
         return Element(self, {})
@@ -617,7 +606,7 @@ class LoopModel:
         if cached is None:
             cached = 0
             for rel in self._all_relations:
-                if rel.monomial.divides(m):
+                if all(map(le, rel.monomial, m)):
                     cached = gcd(cached, rel.coeff)
                     if cached == 1:
                         break
@@ -670,21 +659,20 @@ class LoopModel:
     def _mono_mul(self, m1: Monomial, m2: Monomial) -> tuple[int, Monomial] | None:
         """Product of normal-form monomials with its Koszul sign; None if
         an odd generator squares."""
-        e1, e2 = m1.exps, m2.exps
         odd1 = odd2 = 0
         for i in self._odd_idx:
-            if e1[i]:
-                if e2[i]:
+            if m1[i]:
+                if m2[i]:
                     return None
                 odd1 |= 1 << i
-            elif e2[i]:
+            elif m2[i]:
                 odd2 |= 1 << i
         inversions = 0
         while odd2:
             low = odd2 & -odd2
             inversions += (odd1 & ~((low << 1) - 1)).bit_count()
             odd2 ^= low
-        return (-1 if inversions & 1 else 1), Monomial(tuple(map(add, e1, e2)))
+        return (-1 if inversions & 1 else 1), tuple(map(add, m1, m2))
 
     def mul(self, x: Element, y: Element) -> Element:
         """Loop product: bilinear extension of signed monomial concatenation."""
@@ -712,7 +700,7 @@ class LoopModel:
     # -- grading ------------------------------------------------------------
 
     def monomial_degree(self, m: Monomial) -> int:
-        return sum(e * d for e, d in zip(m.exps, self._degrees))
+        return sum(e * d for e, d in zip(m, self._degrees))
 
     def degree_of(self, x: Element):
         """Loop-algebra degree of ``x``; ``ZERO`` or ``INHOMOGENEOUS`` when
@@ -753,11 +741,11 @@ class LoopModel:
                 vec = list(exps)
                 for i, e in zip(pos, assignment):
                     vec[i] = e
-                m = Monomial(tuple(vec))
+                m = tuple(vec)
                 mod = self.modulus(m)
                 if mod != 1:
                     out.append((m, mod))
-        out.sort(key=lambda pair: pair[0].exps)
+        out.sort()
         return out
 
     def _fill_positive(self, pos, idx, remaining, acc):
@@ -799,22 +787,22 @@ class LoopModel:
         return self.zero()
 
     def _peel(self, m: Monomial) -> tuple[int, Monomial]:
-        i = next(idx for idx, e in enumerate(m.exps) if e)
-        rest = list(m.exps)
+        i = next(idx for idx, e in enumerate(m) if e)
+        rest = list(m)
         rest[i] -= 1
-        return i, Monomial(tuple(rest))
+        return i, tuple(rest)
 
     def _mono_bracket(self, m: Monomial, mp: Monomial) -> Element:
-        if m.is_unit() or mp.is_unit():
+        if not any(m) or not any(mp):
             return self.zero()
         key = (m, mp)
         cached = self._bracket_cache.get(key)
         if cached is not None:
             return cached
-        if m.total_exponent() == 1:
-            g = next(i for i, e in enumerate(m.exps) if e)
-            if mp.total_exponent() == 1:
-                h = next(i for i, e in enumerate(mp.exps) if e)
+        if sum(m) == 1:
+            g = m.index(1)
+            if sum(mp) == 1:
+                h = mp.index(1)
                 out = self._gen_bracket(g, h)
             else:
                 # {g, h*rest} = {g,h}*rest + (-1)^((deg g + 1) deg h) h*{g, rest}
@@ -825,7 +813,7 @@ class LoopModel:
                     self.mono_elem(self._gen_monomial(h)),
                     self._mono_bracket(self._gen_monomial(g), rest),
                 )
-                out = self.add(t1, self.scale(sgn, t2))
+                out = self.zero()._sum(((1, t1), (sgn, t2)))
         else:
             # {g*rest, y} = g*{rest, y} + (-1)^(deg rest (deg y + 1)) {g,y}*rest
             g, rest = self._peel(m)
@@ -840,7 +828,7 @@ class LoopModel:
             t2 = self.mul(
                 self._mono_bracket(self._gen_monomial(g), mp), self.mono_elem(rest)
             )
-            out = self.add(t1, self.scale(sgn, t2))
+            out = self.zero()._sum(((1, t1), (sgn, t2)))
         self._bracket_cache[key] = out
         return out
 
@@ -851,14 +839,14 @@ class LoopModel:
         self._check_same(x, y)
         if self.bracket_on_generators is None:
             raise ModelError("model carries no bracket data")
-        out = self.zero()
-        for m1, c1 in x.terms.items():
-            for m2, c2 in y.terms.items():
-                out = self.add(out, self.scale(c1 * c2, self._mono_bracket(m1, m2)))
-        return out
+        return self.zero()._sum(
+            (c1 * c2, self._mono_bracket(m1, m2))
+            for m1, c1 in x.terms.items()
+            for m2, c2 in y.terms.items()
+        )
 
     def _mono_delta(self, m: Monomial) -> Element:
-        if m.is_unit():
+        if not any(m):
             return self.zero()
         cached = self._delta_cache.get(m)
         if cached is not None:
@@ -867,13 +855,14 @@ class LoopModel:
         g, rest = self._peel(m)
         name = self.generators[g].name
         dg = self.delta_on_generators.get(name, self.zero())
-        t1 = self.mul(dg, self.mono_elem(rest))
-        inner = self.add(
-            self.mul(self.mono_elem(self._gen_monomial(g)), self._mono_delta(rest)),
-            self._mono_bracket(self._gen_monomial(g), rest),
-        )
         sgn = -1 if self._degrees[g] % 2 else 1
-        out = self.add(t1, self.scale(sgn, inner))
+        out = self.zero()._sum(
+            (
+                (1, self.mul(dg, self.mono_elem(rest))),
+                (sgn, self.mul(self.mono_elem(self._gen_monomial(g)), self._mono_delta(rest))),
+                (sgn, self._mono_bracket(self._gen_monomial(g), rest)),
+            )
+        )
         self._delta_cache[m] = out
         return out
 
@@ -883,18 +872,15 @@ class LoopModel:
         self._check_same(x)
         if self.delta_on_generators is None or self.bracket_on_generators is None:
             raise ModelError("model carries no BV-operator data")
-        out = self.zero()
-        for m, c in x.terms.items():
-            out = self.add(out, self.scale(c, self._mono_delta(m)))
-        return out
+        return self.zero()._sum((c, self._mono_delta(m)) for m, c in x.terms.items())
 
     # -- printing --------------------------------------------------------------
 
     def format_monomial(self, m: Monomial) -> str:
-        if m.is_unit():
+        if not any(m):
             return "1"
         parts = []
-        for g, e in zip(self.generators, m.exps):
+        for g, e in zip(self.generators, m):
             if e == 1:
                 parts.append(g.name)
             elif e > 1:

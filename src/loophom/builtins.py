@@ -31,7 +31,7 @@ def sphere(n: int) -> LoopModel:
     if n < 2:
         raise ValueError(f"sphere:{n} is not supported (need N >= 2)")
     if n % 2 == 0:
-        return LoopModel.create(
+        return LoopModel(
             dim=n,
             euler=2,
             generators=[("b", -1), ("a", -n), ("v", 2 * n - 2)],
@@ -43,7 +43,7 @@ def sphere(n: int) -> LoopModel:
             c0={"a": 1},
             simply_connected=True,
         )
-    return LoopModel.create(
+    return LoopModel(
         dim=n,
         euler=0,
         generators=[("b", -n), ("v", n - 1)],
@@ -57,7 +57,7 @@ def projective_space(n: int) -> LoopModel:
     """Loop homology of complex projective n-space, n >= 1."""
     if n < 1:
         raise ValueError(f"cpn:{n} is not supported (need N >= 1)")
-    return LoopModel.create(
+    return LoopModel(
         dim=2 * n,
         euler=n + 1,
         generators=[("w", -1), ("c", -2), ("u", 2 * n)],
@@ -74,7 +74,7 @@ def projective_space(n: int) -> LoopModel:
 @lru_cache(maxsize=None)
 def toy_bv0() -> LoopModel:
     """Two odd generators with zero BV data; c0 is their product."""
-    return LoopModel.create(
+    return LoopModel(
         dim=2,
         euler=2,
         generators=[("y", -1, True), ("z", -1, True)],

@@ -120,7 +120,7 @@ class DenseOracle:
         self.degrees = [g.degree for g in model.generators]
         self.odd = [g.degree % 2 != 0 for g in model.generators]
         self.relations = [
-            (rel.coeff, list(rel.monomial.exps)) for rel in model.relations
+            (rel.coeff, list(rel.monomial)) for rel in model.relations
         ]
         n = len(self.degrees)
         for i in range(n):
@@ -396,7 +396,7 @@ def _check_mul_oracle(ctx: _Ctx) -> int:
     model = ctx.model
     oracle = DenseOracle(model, min(ctx.window, 6))
     monos = [
-        (exps, model.mono_elem(Monomial(exps)))
+        (exps, model.mono_elem(exps))
         for _, by_degree in sorted(oracle.basis.items())
         for exps in by_degree
     ]
@@ -404,11 +404,11 @@ def _check_mul_oracle(ctx: _Ctx) -> int:
         for exps2, y in monos:
             got = model.mul(x, y)
             want = oracle.multiply(exps1, exps2)
-            expected = {} if want is None else {Monomial(want[1]): want[0]}
+            expected = {} if want is None else {want[1]: want[0]}
             if got.terms != expected:
                 raise _Fail(
-                    f"{model.format_monomial(Monomial(exps1))} * "
-                    f"{model.format_monomial(Monomial(exps2))}: engine {got}, oracle {expected}"
+                    f"{model.format_monomial(exps1)} * "
+                    f"{model.format_monomial(exps2)}: engine {got}, oracle {expected}"
                 )
     return len(monos) ** 2
 

@@ -16,16 +16,7 @@ from dataclasses import dataclass
 from typing import Sequence, Union
 
 from .algebra import Element, LoopModel
-from .coalgebra import (
-    TensorElement,
-    apply_psi,
-    contract,
-    psi_split,
-    tensor,
-    tensor_add,
-    tensor_scale,
-    tensor_zero,
-)
+from .coalgebra import TensorElement, apply_psi, contract, psi_split, tensor, tensor_zero
 
 
 class VanishingReason(enum.Enum):
@@ -103,21 +94,17 @@ def _coerce_input(model: LoopModel, s: Surface, inputs: InputLike) -> TensorElem
 def string_operation(model: LoopModel, s: Surface, inputs: InputLike) -> TensorElement:
     """Evaluate the operation of ``s`` on an arity-p input, by closed form."""
     t = _coerce_input(model, s, inputs)
-    if s.genus >= 1 or s.outputs >= 3:
+    if vanishing_certificate(s) is not VanishingReason.NOT_A_PRIORI:
         return tensor_zero(model, s.outputs)
-    if s.outputs == 1:
-        out = model.zero()
-        for ms, c in t.terms.items():
-            prod = model.unit()
-            for m in ms:
-                prod = model.mul(prod, model.mono_elem(m))
-            out = model.add(out, model.scale(c, prod))
-        return tensor([out])
-    out2 = tensor_zero(model, 2)
+    pieces = []
     for ms, c in t.terms.items():
-        piece = psi_split(model, [model.mono_elem(m) for m in ms], 0)
-        out2 = tensor_add(out2, tensor_scale(c, piece))
-    return out2
+        prod = model.unit()
+        for m in ms:
+            prod = model.mul(prod, model.mono_elem(m))
+        pieces.append((c, prod))
+    p = model.zero()._sum(pieces)
+    # psi_split is linear in its last factor
+    return tensor([p]) if s.outputs == 1 else psi_split(model, [p], 0)
 
 
 def string_operation_via_pants(model: LoopModel, s: Surface, inputs: InputLike) -> TensorElement:

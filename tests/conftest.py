@@ -44,7 +44,7 @@ def bv_model():
     """Exterior-times-polynomial algebra with a nonzero bracket, used to
     exercise the Leibniz extension and every sign path; chi = 0 because
     the dimension is odd."""
-    return LoopModel.create(
+    return LoopModel(
         dim=3,
         euler=0,
         generators=[("a", -3, True), ("v", 2)],
@@ -60,7 +60,7 @@ def odd_interleaved():
     """Four odd generators interleaved with even ones, so that product
     signs count several inversions at once; chi = 0 because the dimension
     is odd."""
-    return LoopModel.create(
+    return LoopModel(
         dim=3,
         euler=0,
         generators=[("x", -1), ("a", -2), ("y", -1), ("v", 2), ("z", -3), ("t", -1)],
@@ -73,7 +73,7 @@ def odd_interleaved():
 def corrupted_s4():
     """The sphere:4 presentation with its torsion relation dropped; valid
     as an algebra but inconsistent with string topology."""
-    return LoopModel.create(
+    return LoopModel(
         dim=4,
         euler=2,
         generators=[("b", -1), ("a", -4), ("v", 6)],

@@ -222,7 +222,7 @@ def test_09_oracle_equivalence():
                 for _ in range(rng.randint(0, 5))
             ]
             engine = model.normal_form([(c, Monomial(e)) for c, e in raw])
-            if {m.exps: c for m, c in engine.terms.items()} != oracle.reduce(raw):
+            if engine.terms != oracle.reduce(raw):
                 problems.append(f"{name}: normal form of {raw}")
     finish("09 oracle-equivalence", problems)
 

@@ -12,7 +12,6 @@ from loophom import (
     GeneratorSpec,
     LoopModel,
     ModelError,
-    Monomial,
     validate_model,
 )
 
@@ -35,7 +34,7 @@ def test_generator_parity_is_derived(s4):
 
 def test_odd_dimension_with_nonzero_euler_rejected():
     with pytest.raises(ModelError, match="odd dimension"):
-        LoopModel.create(
+        LoopModel(
             dim=3,
             euler=2,
             generators=[("b", -1), ("a", -3), ("v", 4)],
@@ -47,7 +46,7 @@ def test_odd_dimension_with_nonzero_euler_rejected():
 def test_c0_with_wrong_degree_rejected():
     # constant-loop class must sit in degree -dim; c^(n-1) misses it
     with pytest.raises(ModelError, match="degree -4"):
-        LoopModel.create(
+        LoopModel(
             dim=4,
             euler=3,
             generators=[("w", -1), ("c", -2), ("u", 4)],
@@ -58,12 +57,12 @@ def test_c0_with_wrong_degree_rejected():
 
 def test_missing_c0_rejected():
     with pytest.raises(ModelError, match="c0 required"):
-        LoopModel.create(dim=2, euler=2, generators=[("a", -2)], relations=[(1, {"a": 2})])
+        LoopModel(dim=2, euler=2, generators=[("a", -2)], relations=[(1, {"a": 2})])
 
 
 def test_relation_with_unknown_generator_rejected():
     with pytest.raises(ModelError, match="unknown generator"):
-        LoopModel.create(
+        LoopModel(
             dim=2,
             euler=2,
             generators=[("a", -2)],
@@ -74,12 +73,12 @@ def test_relation_with_unknown_generator_rejected():
 
 def test_non_nilpotent_negative_generator_rejected():
     with pytest.raises(ModelError, match="not nilpotent"):
-        LoopModel.create(dim=2, euler=2, generators=[("a", -2)], c0={"a": 1})
+        LoopModel(dim=2, euler=2, generators=[("a", -2)], c0={"a": 1})
 
 
 def test_non_nilpotent_degree_zero_generator_rejected():
     with pytest.raises(ModelError, match="not nilpotent"):
-        LoopModel.create(
+        LoopModel(
             dim=2,
             euler=2,
             generators=[("a", -2), ("t", 0)],
@@ -90,42 +89,48 @@ def test_non_nilpotent_degree_zero_generator_rejected():
 
 def test_duplicate_generator_rejected():
     with pytest.raises(ModelError, match="duplicate generator"):
-        LoopModel.create(
+        LoopModel(
             dim=2, euler=2, generators=[("a", -2), ("a", 2)], c0={"a": 1}
         )
 
 
 def test_reserved_generator_name_rejected():
     with pytest.raises(ModelError, match="reserved"):
-        LoopModel.create(dim=2, euler=2, generators=[("psi", -2)], c0={"psi": 1})
+        LoopModel(dim=2, euler=2, generators=[("psi", -2)], c0={"psi": 1})
+
+
+_MALFORMED = [
+    ({"c0": "a"}, ("c0",), "(coefficient, monomial) pairs"),
+    ({"c0": 3.5}, ("c0",), "(coefficient, monomial) pairs"),
+    ({"c0": [("a",)]}, ("c0",), "(coefficient, monomial) pairs"),
+    ({"delta": {"a": "x"}, "bracket": {}}, ("delta", "a"), "(coefficient, monomial) pairs"),
+    ({"bracket": {("a", "a"): 2.0}}, ("bracket", "a", "a"), "(coefficient, monomial) pairs"),
+    ({"relations": [(1, 5)]}, ("relation", 1), "sequence of exponents, got 5"),
+    ({"c0": [(1, 5)]}, ("c0",), "sequence of exponents, got 5"),
+    ({"delta": {"a": [(1, 7)]}, "bracket": {}}, ("delta", "a"), "sequence of exponents, got 7"),
+]
 
 
 @pytest.mark.parametrize(
-    "data, where",
-    [
-        ({"c0": "a"}, ("c0",)),
-        ({"c0": 3.5}, ("c0",)),
-        ({"c0": [("a",)]}, ("c0",)),
-        ({"delta": {"a": "x"}, "bracket": {}}, ("delta", "a")),
-        ({"bracket": {("a", "a"): 2.0}}, ("bracket", "a", "a")),
-    ],
+    "data, where, fragment",
+    _MALFORMED,
+    ids=[f"data{i}-where{i}" for i in range(len(_MALFORMED))],
 )
-def test_malformed_data_value_is_a_problem(data, where):
+def test_malformed_data_value_is_a_problem(data, where, fragment):
     with pytest.raises(ModelError) as info:
         LoopModel(
             dim=2,
             euler=2,
             generators=[("a", -2)],
-            relations=[(1, {"a": 2})],
-            **{"c0": {"a": 1}, **data},
+            **{"relations": [(1, {"a": 2})], "c0": {"a": 1}, **data},
         )
     [(got, message)] = info.value.problems
-    assert got == where and "(coefficient, monomial) pairs" in message
+    assert got == where and fragment in message
 
 
 def test_nonpositive_relation_coefficient_rejected():
     with pytest.raises(ModelError, match="positive integer"):
-        LoopModel.create(
+        LoopModel(
             dim=2,
             euler=2,
             generators=[("a", -2)],
@@ -139,7 +144,7 @@ def test_validate_is_idempotent(s4):
 
 
 def test_generator_spec_from_tuples_and_specs():
-    m = LoopModel.create(
+    m = LoopModel(
         dim=2,
         euler=2,
         generators=[GeneratorSpec("a", -2, True), ("v", 2)],
@@ -155,7 +160,7 @@ def test_generator_spec_from_tuples_and_specs():
 def brute_modulus(model, exps):
     """Ideal-membership by direct scan: gcd of relation coefficients over
     the declared relations dividing the monomial, plus odd squares."""
-    rels = [(r.coeff, r.monomial.exps) for r in model.relations]
+    rels = [(r.coeff, r.monomial) for r in model.relations]
     for i, g in enumerate(model.generators):
         if g.degree % 2:
             rels.append((1, tuple(2 if j == i else 0 for j in range(len(model.generators)))))
@@ -180,7 +185,7 @@ def test_unit_normal_form(s4):
 
 def test_torsion_monomial_above_relation(s4):
     # oracle first: a*v^2 is divisible by a*v only, so its modulus is 2
-    exps = s4.monomial({"a": 1, "v": 2}).exps
+    exps = s4.monomial({"a": 1, "v": 2})
     assert brute_modulus(s4, exps) == 2
     x = s4.normal_form([(1, {"a": 1, "v": 2})])
     assert len(x.terms) == 1
@@ -198,7 +203,7 @@ def test_dead_monomials_are_dropped(s4):
 def test_moduli_against_brute_scan(s4, cp2):
     for model in (s4, cp2):
         for _, mono, mod in model.basis_window(10):
-            assert mod == brute_modulus(model, mono.exps)
+            assert mod == brute_modulus(model, mono)
 
 
 @settings(max_examples=60)
@@ -322,11 +327,14 @@ def test_power_by_squaring(s4, monkeypatch, k):
     assert len(calls) <= 2 * log2(k) + 2
 
 
-def test_monomial_hash_and_repr_are_those_of_the_exponent_tuple():
-    m = Monomial((2, 0, 1))
-    assert hash(m) == hash(((2, 0, 1),))
-    assert repr(m) == "Monomial(exps=(2, 0, 1))"
-    assert m == Monomial((2, 0, 1)) and m != Monomial((2, 1, 0))
+def test_monomial_keys_are_plain_exponent_tuples(s4, cp2):
+    m = s4.monomial({"a": 1, "v": 2})
+    assert type(m) is tuple and m == (0, 1, 2)
+    for model in (s4, cp2):
+        x = model.unit() + sum(model.gen(g.name) for g in model.generators)
+        keys = [*x.terms, *(x * x).terms]
+        keys += [m for degree in range(-8, 9) for m, _ in model.enumerate_basis(degree)]
+        assert keys and all(type(k) is tuple for k in keys)
 
 
 # -- grading --------------------------------------------------------------------
@@ -372,7 +380,7 @@ def brute_basis(model, degree, bounds):
 def test_basis_sphere_degree_two(s4):
     # oracle first: exhaustive enumeration with e_b <= 1, e_a <= 1, e_v <= 2
     assert brute_basis(s4, 2, [1, 1, 2]) == [((0, 1, 1), 2)]
-    assert [(m.exps, mod) for m, mod in s4.enumerate_basis(2)] == [((0, 1, 1), 2)]
+    assert s4.enumerate_basis(2) == [((0, 1, 1), 2)]
 
 
 def test_basis_sphere_degree_zero(s4):
@@ -390,7 +398,7 @@ def test_basis_matches_brute_enumeration_across_window(s4, cp2):
     for model, bounds in ((s4, [1, 1, 3]), (cp2, [1, 2, 4])):
         for degree in range(-10, 11):
             brute = brute_basis(model, degree, bounds)
-            got = sorted((m.exps, mod) for m, mod in model.enumerate_basis(degree))
+            got = sorted(model.enumerate_basis(degree))
             assert got == brute, (model, degree)
 
 

@@ -141,7 +141,7 @@ def test_bv_residual_vanishes(toy, bv_model):
 
 def test_delta_without_bracket_rejected():
     with pytest.raises(ModelError, match="requires bracket data"):
-        LoopModel.create(
+        LoopModel(
             dim=3,
             euler=0,
             generators=[("a", -3), ("v", 2)],
@@ -153,7 +153,7 @@ def test_delta_without_bracket_rejected():
 def test_delta_on_constant_loop_class_must_vanish():
     # c0 = x with delta(x) = u forces delta(c0) != 0
     with pytest.raises(ModelError, match="constant-loop class must vanish"):
-        LoopModel.create(
+        LoopModel(
             dim=1,
             euler=0,
             generators=[("x", -1), ("u", 0)],
@@ -166,7 +166,7 @@ def test_delta_on_constant_loop_class_must_vanish():
 
 def test_inhomogeneous_delta_value_rejected():
     with pytest.raises(ModelError, match="homogeneous of degree"):
-        LoopModel.create(
+        LoopModel(
             dim=3,
             euler=0,
             generators=[("a", -3), ("v", 2)],
@@ -178,7 +178,7 @@ def test_inhomogeneous_delta_value_rejected():
 
 def test_inhomogeneous_bracket_value_rejected():
     with pytest.raises(ModelError, match="homogeneous of degree"):
-        LoopModel.create(
+        LoopModel(
             dim=3,
             euler=0,
             generators=[("a", -3), ("v", 2)],
@@ -189,7 +189,7 @@ def test_inhomogeneous_bracket_value_rejected():
 
 def test_conflicting_bracket_orders_rejected():
     with pytest.raises(ModelError, match="antisymmetry"):
-        LoopModel.create(
+        LoopModel(
             dim=3,
             euler=0,
             generators=[("a", -3), ("v", 2)],
@@ -199,7 +199,7 @@ def test_conflicting_bracket_orders_rejected():
 
 
 def test_consistent_bracket_orders_accepted():
-    model = LoopModel.create(
+    model = LoopModel(
         dim=3,
         euler=0,
         generators=[("a", -3), ("v", 2)],
@@ -211,7 +211,7 @@ def test_consistent_bracket_orders_accepted():
 
 def test_bracket_unknown_generator_rejected():
     with pytest.raises(ModelError, match="unknown generator"):
-        LoopModel.create(
+        LoopModel(
             dim=3,
             euler=0,
             generators=[("a", -3), ("v", 2)],

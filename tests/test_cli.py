@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 S4_TEXT = """\
 dim = 4
@@ -172,3 +173,29 @@ def test_model_file_with_errors_exits_two(tmp_path):
 def test_usage_error_exits_two():
     out = run_cli("eval", "--model")
     assert out.returncode == 2
+
+
+def test_package_runs_on_the_standard_library_alone():
+    # -I -S: no site-packages, no user site, no PYTHONPATH
+    src = Path(__file__).resolve().parent.parent / "src"
+    names = sorted(p.stem for p in (src / "loophom").glob("*.py") if p.stem != "__main__")
+    script = f"""
+import contextlib, importlib, io, json, sys
+sys.path.insert(0, {str(src)!r})
+for name in {names!r}:
+    importlib.import_module("loophom" if name == "__init__" else "loophom." + name)
+from loophom import cli
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = cli.main(["eval", "--model", "sphere:4", "psi(1)"])
+print(json.dumps([code, out.getvalue(), sorted({{m.split('.')[0] for m in sys.modules}})]))
+"""
+    proc = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", script], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, out, loaded = json.loads(proc.stdout)
+    assert (code, out) == (0, "2*(a (x) a)\n")
+    assert "loophom" in loaded
+    outside = set(loaded) - set(sys.stdlib_module_names) - {"__main__", "loophom"}
+    assert not outside

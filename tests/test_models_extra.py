@@ -24,7 +24,7 @@ from conftest import elements
 def genus2():
     """Exterior algebra on two odd classes with euler = -2, the shape of a
     closed hyperbolic surface."""
-    return LoopModel.create(
+    return LoopModel(
         dim=2,
         euler=-2,
         generators=[("e", -1), ("f", -1)],

@@ -1,5 +1,7 @@
 """Surface bookkeeping and the operation attached to a cobordism type."""
 
+import itertools
+import math
 import random
 
 import pytest
@@ -12,6 +14,7 @@ from loophom import (
     string_operation_via_pants,
     tensor,
     tensor_scale,
+    tensor_zero,
     vanishing_certificate,
 )
 
@@ -123,13 +126,31 @@ def test_tensor_input_accepted(s4):
     assert direct == string_operation(s4, Surface(0, 2, 1), [a, v])
 
 
-def test_operation_linear_in_tensor_terms(s4):
-    a, b = s4.gen("a"), s4.gen("b")
-    t = tensor([a + b, s4.gen("v")])
-    out = string_operation(s4, Surface(0, 2, 1), t)
-    parts = string_operation(s4, Surface(0, 2, 1), [a, s4.gen("v")]) + string_operation(
-        s4, Surface(0, 2, 1), [b, s4.gen("v")]
-    )
+def multi_term_factors(model, count):
+    """``count`` factors of several terms each, cycling through three
+    combinations of the unit and the generators."""
+    g0, g1, g2 = (model.gen(g.name) for g in model.generators)
+    one = model.unit()
+    cycle = [one + g0 + 2 * g2, 3 * g1 - g2 + one, 2 * one + g2 - g0]
+    return [cycle[i % 3] for i in range(count)]
+
+
+@pytest.mark.parametrize("model_name", ["s4", "cp2"])
+@pytest.mark.parametrize(
+    "s",
+    [Surface(0, 2, 1), Surface(0, 2, 2), Surface(0, 3, 2), Surface(1, 2, 1), Surface(0, 1, 3)],
+    ids=lambda s: f"g{s.genus}p{s.inputs}q{s.outputs}",
+)
+def test_operation_linear_in_tensor_terms(request, model_name, s):
+    model = request.getfixturevalue(model_name)
+    factors = multi_term_factors(model, s.inputs)
+    assert all(len(f.terms) >= 2 for f in factors)
+    out = string_operation(model, s, tensor(factors))
+    parts = tensor_zero(model, s.outputs)
+    for choice in itertools.product(*(f.sorted_terms() for f in factors)):
+        coeff = math.prod(c for _, c in choice)
+        pure = [model.mono_elem(m) for m, _ in choice]
+        parts = parts + coeff * string_operation(model, s, pure)
     assert out == parts
 
 
