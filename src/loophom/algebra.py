@@ -722,7 +722,12 @@ class LoopModel:
     # -- basis enumeration ---------------------------------------------------
 
     def enumerate_basis(self, degree: int) -> list[tuple[Monomial, int]]:
-        """All surviving monomials of the given degree with their moduli."""
+        """All surviving monomials of the given degree with their moduli.
+
+        The work is one step per combination of the exponents of the
+        non-positive generators (each up to its nilpotence cap) and of all
+        but the last positive generator (each up to the degree left over);
+        the last positive exponent is solved directly."""
         n = len(self.generators)
         nonpos = [i for i in range(n) if self._degrees[i] <= 0]
         pos = [i for i in range(n) if self._degrees[i] > 0]
@@ -759,6 +764,12 @@ class LoopModel:
         cap = self._caps[i]
         if cap is not None:
             emax = min(emax, cap)
+        if idx == len(pos) - 1:
+            # the last exponent is solved, not searched: only
+            # remaining / d can finish the degree
+            if emax * d == remaining:
+                yield (*acc, emax)
+            return
         for e in range(emax + 1):
             acc.append(e)
             yield from self._fill_positive(pos, idx + 1, remaining - e * d, acc)
@@ -792,45 +803,71 @@ class LoopModel:
         rest[i] -= 1
         return i, tuple(rest)
 
+    def _peel_chain(self, m: Monomial, done) -> list[Monomial]:
+        """``m`` and what repeated ``_peel`` leaves of it, smallest first,
+        down to (not including) the first monomial ``done`` accepts.
+
+        The Leibniz recursions fill their caches along this chain from the
+        bottom up, so the stack depth does not grow with the exponent."""
+        chain = []
+        while not done(m):
+            chain.append(m)
+            m = self._peel(m)[1]
+        chain.reverse()
+        return chain
+
     def _mono_bracket(self, m: Monomial, mp: Monomial) -> Element:
         if not any(m) or not any(mp):
             return self.zero()
-        key = (m, mp)
-        cached = self._bracket_cache.get(key)
-        if cached is not None:
-            return cached
+        cache = self._bracket_cache
+        out = cache.get((m, mp))
+        if out is None:
+            # walk down the slot the Leibniz rule peels: the second one
+            # when the first is a generator, else the first
+            if sum(m) == 1:
+                keys = [
+                    (m, x)
+                    for x in self._peel_chain(mp, lambda x: not any(x) or (m, x) in cache)
+                ]
+            else:
+                keys = [
+                    (x, mp)
+                    for x in self._peel_chain(m, lambda x: sum(x) == 1 or (x, mp) in cache)
+                ]
+            for key in keys:
+                out = cache[key] = self._bracket_step(*key)
+        return out
+
+    def _bracket_step(self, m: Monomial, mp: Monomial) -> Element:
+        """One Leibniz step; the brackets it needs are cached or have a
+        generator in the first slot."""
         if sum(m) == 1:
             g = m.index(1)
             if sum(mp) == 1:
-                h = mp.index(1)
-                out = self._gen_bracket(g, h)
-            else:
-                # {g, h*rest} = {g,h}*rest + (-1)^((deg g + 1) deg h) h*{g, rest}
-                h, rest = self._peel(mp)
-                t1 = self.mul(self._gen_bracket(g, h), self.mono_elem(rest))
-                sgn = -1 if ((self._degrees[g] + 1) * self._degrees[h]) % 2 else 1
-                t2 = self.mul(
-                    self.mono_elem(self._gen_monomial(h)),
-                    self._mono_bracket(self._gen_monomial(g), rest),
-                )
-                out = self.zero()._sum(((1, t1), (sgn, t2)))
-        else:
-            # {g*rest, y} = g*{rest, y} + (-1)^(deg rest (deg y + 1)) {g,y}*rest
-            g, rest = self._peel(m)
-            t1 = self.mul(
-                self.mono_elem(self._gen_monomial(g)), self._mono_bracket(rest, mp)
-            )
-            sgn = (
-                -1
-                if (self.monomial_degree(rest) * (self.monomial_degree(mp) + 1)) % 2
-                else 1
-            )
+                return self._gen_bracket(g, mp.index(1))
+            # {g, h*rest} = {g,h}*rest + (-1)^((deg g + 1) deg h) h*{g, rest}
+            h, rest = self._peel(mp)
+            t1 = self.mul(self._gen_bracket(g, h), self.mono_elem(rest))
+            sgn = -1 if ((self._degrees[g] + 1) * self._degrees[h]) % 2 else 1
             t2 = self.mul(
-                self._mono_bracket(self._gen_monomial(g), mp), self.mono_elem(rest)
+                self.mono_elem(self._gen_monomial(h)),
+                self._mono_bracket(self._gen_monomial(g), rest),
             )
-            out = self.zero()._sum(((1, t1), (sgn, t2)))
-        self._bracket_cache[key] = out
-        return out
+            return self.zero()._sum(((1, t1), (sgn, t2)))
+        # {g*rest, y} = g*{rest, y} + (-1)^(deg rest (deg y + 1)) {g,y}*rest
+        g, rest = self._peel(m)
+        t1 = self.mul(
+            self.mono_elem(self._gen_monomial(g)), self._mono_bracket(rest, mp)
+        )
+        sgn = (
+            -1
+            if (self.monomial_degree(rest) * (self.monomial_degree(mp) + 1)) % 2
+            else 1
+        )
+        t2 = self.mul(
+            self._mono_bracket(self._gen_monomial(g), mp), self.mono_elem(rest)
+        )
+        return self.zero()._sum(((1, t1), (sgn, t2)))
 
     def bracket(self, x: Element, y: Element) -> Element:
         """Loop bracket, extended from generator pairs by the graded
@@ -848,23 +885,27 @@ class LoopModel:
     def _mono_delta(self, m: Monomial) -> Element:
         if not any(m):
             return self.zero()
-        cached = self._delta_cache.get(m)
-        if cached is not None:
-            return cached
+        cache = self._delta_cache
+        out = cache.get(m)
+        if out is None:
+            for x in self._peel_chain(m, lambda x: not any(x) or x in cache):
+                out = cache[x] = self._delta_step(x)
+        return out
+
+    def _delta_step(self, m: Monomial) -> Element:
+        """One Leibniz step; ``D(rest)`` is cached or ``rest`` is the unit."""
         # D(g*rest) = D(g)*rest + (-1)^deg g (g*D(rest) + {g, rest})
         g, rest = self._peel(m)
         name = self.generators[g].name
         dg = self.delta_on_generators.get(name, self.zero())
         sgn = -1 if self._degrees[g] % 2 else 1
-        out = self.zero()._sum(
+        return self.zero()._sum(
             (
                 (1, self.mul(dg, self.mono_elem(rest))),
                 (sgn, self.mul(self.mono_elem(self._gen_monomial(g)), self._mono_delta(rest))),
                 (sgn, self._mono_bracket(self._gen_monomial(g), rest)),
             )
         )
-        self._delta_cache[m] = out
-        return out
 
     def delta(self, x: Element) -> Element:
         """BV operator: linear, degree +1, defined on monomials through the

@@ -59,6 +59,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once per process: ``parse_args`` returns a fresh namespace on every
+# call, so ``main`` may be called repeatedly in one process.
+_PARSER = _build_parser()
+
+
 def _print_value(args, value, payload: dict) -> int:
     """Print a value, or with ``--json`` the payload plus its terms."""
     if not args.json:
@@ -151,8 +156,7 @@ def _cmd_check(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     handlers = {
         "eval": _cmd_eval,
         "basis": _cmd_basis,

@@ -402,6 +402,25 @@ def test_basis_matches_brute_enumeration_across_window(s4, cp2):
             assert got == brute, (model, degree)
 
 
+def test_basis_matches_brute_enumeration_to_degree_24(cp2):
+    # two positive generators; the last one, w, is capped at w^2 by a
+    # pure-power relation, so its directly solved exponent meets the cap
+    capped = LoopModel(
+        dim=3,
+        euler=0,
+        generators=[("b", -1), ("a", -2), ("u", 2), ("w", 6)],
+        relations=[(1, {"a": 2}), (1, {"w": 3}), (3, {"u": 2, "w": 1})],
+        c0={"a": 1, "b": 1},
+    )
+    # the brute bounds reach past every cap and past degree 24
+    for model, bounds in ((cp2, [2, 3, 8]), (capped, [2, 2, 14, 5])):
+        for degree in range(-24, 25):
+            assert model.enumerate_basis(degree) == brute_basis(model, degree, bounds), (
+                model,
+                degree,
+            )
+
+
 def test_basis_deterministic(cp2):
     assert cp2.enumerate_basis(0) == cp2.enumerate_basis(0)
 

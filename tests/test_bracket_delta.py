@@ -1,8 +1,13 @@
 """Loop bracket and BV operator: Leibniz extension, signs, consistency."""
 
+import json
+from pathlib import Path
+
 import pytest
 
-from loophom import LoopModel, ModelError
+from loophom import LoopModel, ModelError, evaluate, parse_expr
+
+BV_POWERS = Path(__file__).parent / "data" / "bv_powers.json"
 
 
 def test_bracket_requires_data(s4):
@@ -218,3 +223,44 @@ def test_bracket_unknown_generator_rejected():
             c0={"a": 1},
             bracket={("a", "q"): 0},
         )
+
+
+def _bv_data_model():
+    """The ``bv_model`` presentation with a nonzero BV operator on ``v``."""
+    return LoopModel(
+        dim=3,
+        euler=0,
+        generators=[("a", -3, True), ("v", 2)],
+        c0={"a": 1},
+        delta={"a": 0, "v": [(2, {"a": 1, "v": 3})]},
+        bracket={("a", "v"): 1},
+        simply_connected=True,
+    )
+
+
+def test_bv_and_bracket_of_powers_match_pinned_values(toy):
+    # delta(x^k) and bracket(x^k, y) for k <= 12, recorded from the
+    # recursive Leibniz extension, whose stack grew with the exponent
+    got = {}
+    for name, model, xs, ys in (
+        ("toy", toy, ["y", "z", "y+z", "1+y", "1+y*z", "2*y-z"], ["y", "z"]),
+        ("bv", _bv_data_model(), ["v", "a+v", "a*v", "1+v"], ["a", "v"]),
+    ):
+        for x in xs:
+            for k in range(13):
+                text = f"({x})^{k}"
+                value = evaluate(model, parse_expr(text, model))
+                got[f"{name} delta({text})"] = str(model.delta(value))
+                for y in ys:
+                    got[f"{name} bracket({text}, {y})"] = str(model.bracket(value, model.gen(y)))
+    assert got == json.loads(BV_POWERS.read_text())
+
+
+def test_high_powers_do_not_grow_the_stack():
+    model = _bv_data_model()
+    a, v = model.gen("a"), model.gen("v")
+    n = 3000
+    assert model.bracket(a, v**n) == model.scale(n, v ** (n - 1))
+    assert model.bracket(v**n, a * v) == model.scale(-n, v**n)
+    # D(a v^n) = -(a D(v^n) + {a, v^n}) and a * a = 0
+    assert model.delta(a * v**n) == model.scale(-n, v ** (n - 1))

@@ -1,9 +1,14 @@
 """Command-line interface: subcommands, exit codes, JSON output."""
 
+import io
 import json
+import re
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+
+from loophom import cli
 
 S4_TEXT = """\
 dim = 4
@@ -20,11 +25,24 @@ c0 = a
 CORRUPTED_TEXT = S4_TEXT.replace("relation 2 * a*v\n", "")
 
 
-def run_cli(*args):
+DEEP_BV_TEXT = """\
+dim = 3
+euler = 0
+generator b deg = -3
+generator v deg = 2
+c0 = b
+delta v = 0
+delta b = 0
+bracket [b,v] = 0
+"""
+
+
+def run_cli(*args, **kwargs):
     return subprocess.run(
         [sys.executable, "-m", "loophom", *args],
         capture_output=True,
         text=True,
+        **kwargs,
     )
 
 
@@ -199,3 +217,81 @@ print(json.dumps([code, out.getvalue(), sorted({{m.split('.')[0] for m in sys.mo
     assert "loophom" in loaded
     outside = set(loaded) - set(sys.stdlib_module_names) - {"__main__", "loophom"}
     assert not outside
+
+
+def run_in_process(argv):
+    """``cli.main(argv)`` in this process: exit code, stdout, stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+# every path through main: each subcommand, --json before and after a plain
+# call, usage errors (argparse's SystemExit) and an expression parse error
+REUSE_CALLS = [
+    ["eval", "--model", "sphere:4", "--json", "psi(1)"],
+    ["eval", "--model", "sphere:4", "psi(1)"],
+    ["basis", "--model", "cpn:2", "--degree", "0"],
+    ["basis", "--model", "sphere:4", "--degree", "2", "--json"],
+    ["tqft", "--model", "sphere:4", "--genus", "0", "--in", "2", "--out", "1", "a", "v"],
+    ["check", "--model", "sphere:2", "--window", "2"],
+    ["eval", "psi(1)"],
+    ["frobnicate", "--model", "sphere:4"],
+    ["eval", "--model", "sphere:4", "psi(a,b)"],
+]
+
+
+def test_repeated_main_matches_fresh_processes(monkeypatch):
+    # argparse wraps usage text to the terminal width; pin it here and in
+    # the subprocesses, which inherit the environment
+    monkeypatch.setenv("COLUMNS", "80")
+    fresh = {}
+    for argv in REUSE_CALLS:
+        proc = run_cli(*argv)
+        fresh[tuple(argv)] = (proc.returncode, proc.stdout, proc.stderr)
+    assert [fresh[tuple(argv)][0] for argv in REUSE_CALLS] == [0, 0, 0, 0, 0, 0, 2, 2, 2]
+    # the plain eval prints text, so --json from the call before it did not leak
+    assert fresh[tuple(REUSE_CALLS[1])] == (0, "2*(a (x) a)\n", "")
+    for calls in (REUSE_CALLS, REUSE_CALLS[::-1]):
+        for argv in calls:
+            assert run_in_process(argv) == fresh[tuple(argv)], argv
+
+
+def test_reused_parser_returns_a_fresh_namespace():
+    first = cli._PARSER.parse_args(["eval", "--model", "sphere:4", "--json", "1"])
+    second = cli._PARSER.parse_args(["basis", "--model", "cpn:2", "--degree", "0"])
+    assert first is not second
+    assert first.json and not second.json
+    assert not hasattr(second, "expr")
+
+
+def test_bv_operator_and_bracket_on_high_powers(tmp_path):
+    path = tmp_path / "deep.model"
+    path.write_text(DEEP_BV_TEXT)
+    for expr in ("delta(v^1000)", "bracket(v^1000, b)"):
+        out = run_cli("eval", "--model", str(path), expr)
+        assert (out.returncode, out.stdout, out.stderr) == (0, "0\n", ""), expr
+
+
+def test_basis_in_a_huge_degree_is_solved_directly():
+    out = run_cli("basis", "--model", "sphere:4", "--degree", "99999996", timeout=20)
+    assert (out.returncode, out.stdout, out.stderr) == (0, "v^16666666  Z\n", "")
+    out = run_cli("basis", "--model", "sphere:4", "--degree", "100000000", timeout=20)
+    assert (out.returncode, out.stdout, out.stderr) == (0, "", "")
+
+
+def test_console_script_entry_point_runs_main():
+    # the function pyproject.toml installs as the ``loophom`` command
+    pyproject = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text()
+    module, func = re.search(r'^loophom = "([\w.]+):(\w+)"$', pyproject, re.M).groups()
+    script = (
+        "import sys; from importlib import import_module; "
+        "sys.argv = ['loophom', 'eval', '--model', 'sphere:4', 'psi(1)']; "
+        f"import_module({module!r}).{func}()"
+    )
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert (out.returncode, out.stdout, out.stderr) == (0, "2*(a (x) a)\n", "")
