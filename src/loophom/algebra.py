@@ -41,10 +41,10 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
+from collections.abc import Mapping
 from math import gcd
-from operator import add, le
-from typing import Callable, Iterable, Mapping, Sequence, Union
+from operator import add, attrgetter, le
+from typing import Callable, Iterable, Sequence, Union
 
 #: ``degree_of`` result for the zero element.
 ZERO = "zero"
@@ -72,8 +72,57 @@ class ModelError(ValueError):
         super().__init__("; ".join(msg for _, msg in self.problems))
 
 
-@dataclass(frozen=True, slots=True)
-class GeneratorSpec:
+class Record:
+    """Base of the package's plain value classes.
+
+    A subclass lists its fields in ``__slots__`` and assigns them in its
+    own ``__init__``.  Instances compare equal only to instances of the
+    same class with equal fields, print as ``Name(field=value, ...)`` and,
+    being mutable, are unhashable.
+    """
+
+    __slots__ = ()
+    __hash__ = None
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        if cls.__slots__:
+            # ``cls._values(record)``: the field values in one C call, as a
+            # tuple, or the value itself for a lone field
+            cls._values = attrgetter(*cls.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self) == other._values(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+
+#: How a frozen record's ``__init__`` sets its fields past ``__setattr__``.
+_set_field = object.__setattr__
+
+
+class FrozenRecord(Record):
+    """An immutable :class:`Record`: hashable, and assigning or deleting
+    any attribute raises ``AttributeError``; ``__init__`` sets the fields
+    with ``_set_field``."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class GeneratorSpec(FrozenRecord):
     """A named generator with its loop-algebra degree.
 
     ``geometric`` flags classes coming from the homology of the manifold
@@ -81,9 +130,12 @@ class GeneratorSpec:
     bracket-related consistency checks.
     """
 
-    name: str
-    degree: int
-    geometric: bool = False
+    __slots__ = ("name", "degree", "geometric")
+
+    def __init__(self, name: str, degree: int, geometric: bool = False):
+        _set_field(self, "name", name)
+        _set_field(self, "degree", degree)
+        _set_field(self, "geometric", geometric)
 
     @property
     def is_odd(self) -> bool:
@@ -94,12 +146,14 @@ class GeneratorSpec:
 Monomial = tuple
 
 
-@dataclass(frozen=True, slots=True)
-class Relation:
+class Relation(FrozenRecord):
     """The relation ``coeff * monomial = 0`` with ``coeff >= 1``."""
 
-    coeff: int
-    monomial: Monomial
+    __slots__ = ("coeff", "monomial")
+
+    def __init__(self, coeff: int, monomial: Monomial):
+        _set_field(self, "coeff", coeff)
+        _set_field(self, "monomial", monomial)
 
 
 MonomialLike = Union[Mapping[str, int], Sequence[int]]
@@ -914,6 +968,16 @@ class LoopModel:
         if self.delta_on_generators is None or self.bracket_on_generators is None:
             raise ModelError("model carries no BV-operator data")
         return self.zero()._sum((c, self._mono_delta(m)) for m, c in x.terms.items())
+
+    def clear_caches(self) -> None:
+        """Empty the modulus, bracket and BV-operator caches.
+
+        They keep an entry per monomial met (per peel step of a high
+        power) for the model's life; results do not change, later calls
+        only recompute what they need."""
+        self._modulus_cache.clear()
+        self._bracket_cache.clear()
+        self._delta_cache.clear()
 
     # -- printing --------------------------------------------------------------
 

@@ -16,11 +16,10 @@ from __future__ import annotations
 import itertools
 import json
 import random
-from dataclasses import dataclass, field
 from math import gcd
 from typing import Callable
 
-from .algebra import Element, LoopModel, Monomial
+from .algebra import Element, LoopModel, Monomial, Record
 from .coalgebra import (
     apply_delta_factorwise,
     apply_psi,
@@ -45,20 +44,26 @@ _CHI_ZERO_TAG = "vanishes identically (chi = 0)"
 _INCONSISTENT_TAG = "model is inconsistent with string topology"
 
 
-@dataclass
-class CheckResult:
-    law: str
-    status: str  # "pass" | "fail" | "skip" | "error"
-    detail: str = ""
-    witness: str | None = None
+class CheckResult(Record):
+    __slots__ = ("law", "status", "detail", "witness")
+
+    def __init__(self, law: str, status: str, detail: str = "", witness: str | None = None):
+        self.law = law
+        self.status = status  # "pass" | "fail" | "skip" | "error"
+        self.detail = detail
+        self.witness = witness
 
 
-@dataclass
-class CheckReport:
-    model_name: str
-    window: int
-    seed: int
-    results: list[CheckResult] = field(default_factory=list)
+class CheckReport(Record):
+    __slots__ = ("model_name", "window", "seed", "results")
+
+    def __init__(
+        self, model_name: str, window: int, seed: int, results: list[CheckResult] | None = None
+    ):
+        self.model_name = model_name
+        self.window = window
+        self.seed = seed
+        self.results = [] if results is None else results
 
     @property
     def passed(self) -> bool:

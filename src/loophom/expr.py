@@ -21,10 +21,9 @@ integer multiples of the unit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Union
 
-from .algebra import RESERVED_NAMES, Element, LoopModel
+from .algebra import RESERVED_NAMES, Element, FrozenRecord, LoopModel, _set_field
 from .coalgebra import TensorElement, psi, tensor
 from .tqft import Surface, string_operation
 
@@ -44,51 +43,67 @@ class EvalError(ValueError):
 # -- AST ---------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class Lit:
-    value: int
+class Lit(FrozenRecord):
+    __slots__ = ("value",)
+
+    def __init__(self, value: int):
+        _set_field(self, "value", value)
 
 
-@dataclass(frozen=True, slots=True)
-class Name:
-    ident: str
+class Name(FrozenRecord):
+    __slots__ = ("ident",)
+
+    def __init__(self, ident: str):
+        _set_field(self, "ident", ident)
 
 
-@dataclass(frozen=True, slots=True)
-class Neg:
-    operand: "ExprAst"
+class Neg(FrozenRecord):
+    __slots__ = ("operand",)
+
+    def __init__(self, operand: ExprAst):
+        _set_field(self, "operand", operand)
 
 
-@dataclass(frozen=True, slots=True)
-class BinOp:
-    op: str  # "+", "-", "*"
-    left: "ExprAst"
-    right: "ExprAst"
+class BinOp(FrozenRecord):
+    __slots__ = ("op", "left", "right")
+
+    def __init__(self, op: str, left: ExprAst, right: ExprAst):
+        _set_field(self, "op", op)  # "+", "-", "*"
+        _set_field(self, "left", left)
+        _set_field(self, "right", right)
 
 
-@dataclass(frozen=True, slots=True)
-class Pow:
-    base: "ExprAst"
-    exponent: int
+class Pow(FrozenRecord):
+    __slots__ = ("base", "exponent")
+
+    def __init__(self, base: ExprAst, exponent: int):
+        _set_field(self, "base", base)
+        _set_field(self, "exponent", exponent)
 
 
-@dataclass(frozen=True, slots=True)
-class Call:
-    func: str  # "psi", "delta", "bracket"
-    args: tuple
+class Call(FrozenRecord):
+    __slots__ = ("func", "args")
+
+    def __init__(self, func: str, args: tuple):
+        _set_field(self, "func", func)  # "psi", "delta", "bracket"
+        _set_field(self, "args", args)
 
 
-@dataclass(frozen=True, slots=True)
-class MuCall:
-    genus: int
-    inputs: int
-    outputs: int
-    args: tuple
+class MuCall(FrozenRecord):
+    __slots__ = ("genus", "inputs", "outputs", "args")
+
+    def __init__(self, genus: int, inputs: int, outputs: int, args: tuple):
+        _set_field(self, "genus", genus)
+        _set_field(self, "inputs", inputs)
+        _set_field(self, "outputs", outputs)
+        _set_field(self, "args", args)
 
 
-@dataclass(frozen=True, slots=True)
-class TensorExpr:
-    factors: tuple
+class TensorExpr(FrozenRecord):
+    __slots__ = ("factors",)
+
+    def __init__(self, factors: tuple):
+        _set_field(self, "factors", factors)
 
 
 ExprAst = Union[Lit, Name, Neg, BinOp, Pow, Call, MuCall, TensorExpr]
@@ -97,11 +112,13 @@ ExprAst = Union[Lit, Name, Neg, BinOp, Pow, Call, MuCall, TensorExpr]
 # -- tokenizer ----------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class _Token:
-    kind: str  # INT NAME OP TENSOR END
-    text: str
-    pos: int  # 0-based offset into the source
+class _Token(FrozenRecord):
+    __slots__ = ("kind", "text", "pos")
+
+    def __init__(self, kind: str, text: str, pos: int):
+        _set_field(self, "kind", kind)  # INT NAME OP TENSOR END
+        _set_field(self, "text", text)
+        _set_field(self, "pos", pos)  # 0-based offset into the source
 
 
 _OP_CHARS = set("+-*^(),;")

@@ -20,10 +20,9 @@ generators, integers, ``+ - * ^`` and parentheses.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from pathlib import Path
 
-from .algebra import GeneratorSpec, LoopModel, ModelError
+from .algebra import FrozenRecord, GeneratorSpec, LoopModel, ModelError, _set_field
 from .builtins import builtin_model
 from .expr import evaluate_scalar, parse_expr
 
@@ -44,12 +43,14 @@ class ModelParseError(Exception):
         )
 
 
-@dataclass(frozen=True)
-class ModelDoc:
+class ModelDoc(FrozenRecord):
     """A parsed model together with its provenance."""
 
-    model: LoopModel
-    provenance: str = "<string>"
+    __slots__ = ("model", "provenance")
+
+    def __init__(self, model: LoopModel, provenance: str = "<string>"):
+        _set_field(self, "model", model)
+        _set_field(self, "provenance", provenance)
 
 
 _DIM_RE = re.compile(r"^(dim|euler)\s*=\s*(-?\d+)\Z")

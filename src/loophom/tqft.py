@@ -12,10 +12,9 @@ so the two routes can be compared.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Sequence, Union
 
-from .algebra import Element, LoopModel
+from .algebra import Element, FrozenRecord, LoopModel, _set_field
 from .coalgebra import TensorElement, apply_psi, contract, psi_split, tensor, tensor_zero
 
 
@@ -27,21 +26,21 @@ class VanishingReason(enum.Enum):
     NOT_A_PRIORI = "not a priori"
 
 
-@dataclass(frozen=True, slots=True)
-class Surface:
+class Surface(FrozenRecord):
     """Topological type of an oriented connected cobordism."""
 
-    genus: int
-    inputs: int
-    outputs: int
+    __slots__ = ("genus", "inputs", "outputs")
 
-    def __post_init__(self):
-        if self.genus < 0:
-            raise ValueError(f"genus must be >= 0, got {self.genus}")
-        if self.inputs < 0:
-            raise ValueError(f"inputs must be >= 0, got {self.inputs}")
-        if self.outputs < 1:
-            raise ValueError(f"outputs must be >= 1, got {self.outputs}")
+    def __init__(self, genus: int, inputs: int, outputs: int):
+        if genus < 0:
+            raise ValueError(f"genus must be >= 0, got {genus}")
+        if inputs < 0:
+            raise ValueError(f"inputs must be >= 0, got {inputs}")
+        if outputs < 1:
+            raise ValueError(f"outputs must be >= 1, got {outputs}")
+        _set_field(self, "genus", genus)
+        _set_field(self, "inputs", inputs)
+        _set_field(self, "outputs", outputs)
 
     @property
     def euler_char(self) -> int:

@@ -1,6 +1,9 @@
 """Core algebra engine: validation, normal forms, ring laws, grading."""
 
+import subprocess
+import sys
 from math import gcd, log2
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +15,7 @@ from loophom import (
     GeneratorSpec,
     LoopModel,
     ModelError,
+    Relation,
     validate_model,
 )
 
@@ -441,3 +445,40 @@ def test_element_rendering(s4):
     assert str(x) == "3*v + a*v"
     y = s4.normal_form([(-1, {"b": 1}), (2, {"v": 2})])
     assert str(y) == "2*v^2 - b"
+
+
+# -- record classes ----------------------------------------------------------------
+
+
+def test_generator_spec_and_relation_records():
+    spec = GeneratorSpec(name="a", degree=-2, geometric=True)
+    assert repr(spec) == "GeneratorSpec(name='a', degree=-2, geometric=True)"
+    assert repr(GeneratorSpec("v", 2)) == "GeneratorSpec(name='v', degree=2, geometric=False)"
+    assert spec == GeneratorSpec("a", -2, True)
+    assert hash(spec) == hash(GeneratorSpec("a", -2, True))
+    assert spec != ("a", -2, True) and spec != GeneratorSpec("a", -2)
+    rel = Relation(2, (1, 0, 1))
+    assert repr(rel) == "Relation(coeff=2, monomial=(1, 0, 1))"
+    assert rel == Relation(coeff=2, monomial=(1, 0, 1))
+    assert hash(rel) == hash(Relation(2, (1, 0, 1)))
+    assert rel != (2, (1, 0, 1))
+    for record, field in ((spec, "name"), (rel, "coeff")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, 1)
+        with pytest.raises(AttributeError):
+            delattr(record, field)
+        with pytest.raises(AttributeError):
+            record.extra = 1
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # a fresh interpreter, as each command-line call is; -B writes no bytecode
+    src = Path(__file__).resolve().parent.parent / "src"
+    script = (
+        f"import sys; sys.path.insert(0, {str(src)!r}); import loophom; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-I", "-S", "-B", "-c", script], capture_output=True, text=True
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")

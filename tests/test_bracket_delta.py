@@ -264,3 +264,17 @@ def test_high_powers_do_not_grow_the_stack():
     assert model.bracket(v**n, a * v) == model.scale(-n, v**n)
     # D(a v^n) = -(a D(v^n) + {a, v^n}) and a * a = 0
     assert model.delta(a * v**n) == model.scale(-n, v ** (n - 1))
+
+
+def test_clear_caches_empties_them_and_keeps_values():
+    model = _bv_data_model()
+    a, v = model.gen("a"), model.gen("v")
+    powers = [v**k for k in range(1, 41)]
+    deltas = [model.delta(x) for x in powers]
+    brackets = [model.bracket(x, y) for x in powers for y in (a, v)]
+    caches = (model._modulus_cache, model._bracket_cache, model._delta_cache)
+    assert all(caches)
+    model.clear_caches()
+    assert not any(caches)
+    assert [model.delta(x) for x in powers] == deltas
+    assert [model.bracket(x, y) for x in powers for y in (a, v)] == brackets

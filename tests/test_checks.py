@@ -7,7 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loophom import DenseOracle, LoopModel, Monomial, checks, load_model, run_checks
+from loophom import (
+    CheckReport,
+    CheckResult,
+    DenseOracle,
+    LoopModel,
+    Monomial,
+    checks,
+    load_model,
+    run_checks,
+)
 from loophom.cli import main
 
 CHECK_DETAILS = Path(__file__).parent / "data" / "check_details_w24_seed0.json"
@@ -289,3 +298,24 @@ def test_law_that_raises_is_reported_as_error(monkeypatch, capsys):
     assert json.loads(report.render_json())["passed"] is False
     assert main(["check", "--model", "sphere:2", "--window", "4"]) == 1
     assert "ERROR coproduct-symmetry" in capsys.readouterr().out
+
+
+def test_check_records_are_mutable_and_unhashable():
+    report = CheckReport("m", 4, 0)
+    report.results.append(CheckResult("law", "pass", "x"))
+    report.results.append(CheckResult(law="l2", status="fail", witness="w"))
+    assert repr(report) == (
+        "CheckReport(model_name='m', window=4, seed=0, results=["
+        "CheckResult(law='law', status='pass', detail='x', witness=None), "
+        "CheckResult(law='l2', status='fail', detail='', witness='w')])"
+    )
+    assert CheckReport("m", 4, 0).results == []
+    assert CheckReport("m", 4, 0).results is not CheckReport("m", 4, 0).results
+    assert report == CheckReport(model_name="m", window=4, seed=0, results=list(report.results))
+    assert CheckResult("a", "pass") != ("a", "pass", "", None)
+    report.results[0].status = "fail"
+    report.seed = 1
+    assert (report.results[0].status, report.seed) == ("fail", 1)
+    for record in (report, report.results[0]):
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(record)

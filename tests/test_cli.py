@@ -194,7 +194,8 @@ def test_usage_error_exits_two():
 
 
 def test_package_runs_on_the_standard_library_alone():
-    # -I -S: no site-packages, no user site, no PYTHONPATH
+    # -I -S: no site-packages, no user site, no PYTHONPATH; -I also ignores
+    # PYTHONDONTWRITEBYTECODE, so -B keeps bytecode out of src/
     src = Path(__file__).resolve().parent.parent / "src"
     names = sorted(p.stem for p in (src / "loophom").glob("*.py") if p.stem != "__main__")
     script = f"""
@@ -209,7 +210,7 @@ with contextlib.redirect_stdout(out):
 print(json.dumps([code, out.getvalue(), sorted({{m.split('.')[0] for m in sys.modules}})]))
 """
     proc = subprocess.run(
-        [sys.executable, "-I", "-S", "-c", script], capture_output=True, text=True
+        [sys.executable, "-I", "-S", "-B", "-c", script], capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr
     code, out, loaded = json.loads(proc.stdout)

@@ -255,3 +255,26 @@ def test_expr_corpus_outcomes_unchanged():
         except (ExprError, EvalError, ModelError) as exc:
             outcome = {"error": [type(exc).__name__, str(exc)]}
         assert {"model": entry["model"], "text": entry["text"], **outcome} == entry
+
+
+# -- AST records -------------------------------------------------------------------
+
+
+def test_ast_nodes_are_frozen_records(s4):
+    ast = parse_expr("-a*v^2 + psi(1) (x) bracket(a, v) (x) mu(0, 2, 1; a, v) - 3", s4)
+    assert repr(ast) == (
+        "TensorExpr(factors=(BinOp(op='+', left=Neg(operand=BinOp(op='*', left=Name(ident='a'), "
+        "right=Pow(base=Name(ident='v'), exponent=2))), right=Call(func='psi', args=(Lit(value=1),))), "
+        "Call(func='bracket', args=(Name(ident='a'), Name(ident='v'))), "
+        "BinOp(op='-', left=MuCall(genus=0, inputs=2, outputs=1, args=(Name(ident='a'), Name(ident='v'))), "
+        "right=Lit(value=3))))"
+    )
+    again = parse_expr("-a*v^2 + psi(1) (x) bracket(a, v) (x) mu(0, 2, 1; a, v) - 3", s4)
+    assert ast == again and ast is not again and hash(ast) == hash(again)
+    assert Name("a") != Lit("a") and Name("a") == Name(ident="a")
+    assert MuCall(genus=0, inputs=1, outputs=2, args=()) == MuCall(0, 1, 2, ())
+    assert Pow(Name("v"), 2) != Pow(Name("v"), 3)
+    with pytest.raises(AttributeError):
+        ast.factors = ()
+    with pytest.raises(AttributeError):
+        Lit(1).value = 2

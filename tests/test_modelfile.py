@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from loophom import (
+    ModelDoc,
     ModelParseError,
     load_model,
     parse_model,
@@ -223,3 +224,15 @@ def test_corpus_outcomes_unchanged():
         else:
             assert print_model(doc.model) == entry["printout"], entry["text"]
     assert extended == 11
+
+
+def test_model_doc_is_a_frozen_record():
+    model = load_model("sphere:4")
+    doc = ModelDoc(model=model, provenance="sphere:4")
+    assert repr(doc) == f"ModelDoc(model={model!r}, provenance='sphere:4')"
+    assert repr(ModelDoc(1)) == "ModelDoc(model=1, provenance='<string>')"
+    assert doc == ModelDoc(model, "sphere:4") and hash(doc) == hash(ModelDoc(model, "sphere:4"))
+    assert doc != ModelDoc(model) and doc != (model, "sphere:4")
+    assert parse_model(S4_TEXT, "s4.model").provenance == "s4.model"
+    with pytest.raises(AttributeError):
+        doc.provenance = "x"

@@ -206,3 +206,16 @@ def test_degree_shift_of_nonzero_outputs(s4, cp2):
                 for ms in out.terms:
                     out_h = sum(model.monomial_degree(m) + d for m in ms)
                     assert out_h == in_h + s.euler_char * d
+
+
+def test_surface_is_a_frozen_record():
+    s = Surface(0, 2, 1)
+    assert repr(s) == "Surface(genus=0, inputs=2, outputs=1)"
+    assert str(s) == "(g=0, in=2, out=1)"
+    assert s == Surface(genus=0, inputs=2, outputs=1) and hash(s) == hash(Surface(0, 2, 1))
+    assert s != (0, 2, 1) and s != Surface(0, 1, 2)
+    assert len({Surface(0, 2, 1), Surface(0, 2, 1), Surface(1, 1, 1)}) == 2
+    with pytest.raises(AttributeError):
+        s.genus = 1
+    with pytest.raises(AttributeError):
+        s.extra = 1
