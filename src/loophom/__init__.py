@@ -19,7 +19,6 @@ from .algebra import (
     validate_model,
 )
 from .builtins import builtin_model, projective_space, sphere, toy_bv0
-from .checks import CheckReport, CheckResult, DenseOracle, run_checks
 from .coalgebra import (
     TensorElement,
     apply_delta_factorwise,
@@ -46,6 +45,20 @@ from .tqft import (
 )
 
 __version__ = "0.1.0"
+
+# The law suite is loaded on first use (PEP 562), so that importing the
+# package for eval, basis or tqft does not load it.
+_CHECKS_NAMES = frozenset({"checks", "CheckReport", "CheckResult", "DenseOracle", "run_checks"})
+
+
+def __getattr__(name):
+    if name in _CHECKS_NAMES:
+        from importlib import import_module
+
+        checks = import_module(".checks", __name__)
+        return checks if name == "checks" else getattr(checks, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "INHOMOGENEOUS",

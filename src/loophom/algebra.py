@@ -24,7 +24,7 @@ Monomials are plain exponent tuples in generator declaration order
 and monomials serve directly as dict keys.  Element terms are always in
 normal form, hence every odd generator appears with exponent 0 or 1.
 Each linear map (sum, bracket, BV operator) adds its pieces into one raw
-dict and reduces it once, in ``Combination._sum``.
+dict and reduces it once.
 
 Product signs: concatenating two monomials and sorting the letters back
 into declaration order moves each odd letter of the right factor past
@@ -35,6 +35,25 @@ the odd generators present in each factor into bitmasks ``odd1`` and
 squared), and otherwise the sign is -1 raised to the number of such
 inversions: for each set bit ``low`` of ``odd2``, the bits of ``odd1``
 above it, ``(odd1 & ~((low << 1) - 1)).bit_count()``.
+
+Bracket and BV operator in closed form: the bracket is a biderivation and
+the BV operator ``D`` is second order, so both follow from ``B_kl =
+{g_k, g_l}`` and ``D_k = D(g_k)``.  With ``|x|`` the degree, ``e_k``
+(``f_l``) the exponent of ``g_k`` in ``m`` (of ``g_l`` in ``y``), ``m_<k``
+and ``m_>k`` the parts of ``m`` on the generators before and after
+``g_k``, ``m/g_k`` the monomial ``m`` with ``e_k`` lowered by one, and
+every product the loop product::
+
+    {g_k, y} = sum_l f_l (-1)^((|g_k|+1)|y_<l| + (|g_k|+|g_l|+1)|y_>l|) (y/g_l) B_kl
+    {m, y}   = sum_k e_k (-1)^(|g_k| |m_>k|) (m/g_k) {g_k, y}
+    D(m)     = sum_k (-1)^|m_<k| [ e_k (-1)^((|g_k|+1)|m_>k|) (m/g_k) D_k
+               + (-1)^|g_k| ( e_k (m_<k g_k^(e_k-1)) {g_k, m_>k}
+                              + C(e_k,2) (-1)^|m_>k| (m/g_k^2) B_kk ) ]
+
+These unroll the one-letter Leibniz rule over the letters of ``m`` in
+declaration order (the ``e_k`` letters of an even generator give equal
+terms; an odd generator has exponent at most 1), so the work does not
+grow with the exponents.
 """
 
 from __future__ import annotations
@@ -318,6 +337,16 @@ class Element(Combination):
 _FAILED = object()
 
 
+def _sign(exponent: int) -> int:
+    """``(-1) ** exponent``."""
+    return -1 if exponent & 1 else 1
+
+
+def _lowered(m: Monomial, k: int, times: int = 1) -> Monomial:
+    """``m / g_k^times``: ``m`` with its ``k``-th exponent lowered."""
+    return (*m[:k], m[k] - times, *m[k + 1:])
+
+
 class LoopModel:
     """Presentation of a loop-homology ring with its string-topology data.
 
@@ -364,8 +393,10 @@ class LoopModel:
         self.delta_on_generators: dict[str, Element] | None = None
         self.bracket_on_generators: dict[tuple[str, str], Element] | None = None
         self._modulus_cache: dict[Monomial, int] = {}
-        self._bracket_cache: dict[tuple[Monomial, Monomial], Element] = {}
-        self._delta_cache: dict[Monomial, Element] = {}
+        # the nonzero brackets {g_k, g_l} by index pair, both orders, and
+        # the nonzero D(g_k) by index
+        self._brackets: dict[tuple[int, int], Element] = {}
+        self._deltas: dict[int, Element] = {}
         self._set_presentation(generators, relations)
         self._set_data(c0, delta, bracket)
 
@@ -540,28 +571,27 @@ class LoopModel:
                 if value is not None:
                     table[(g1, g2)] = value
             for (g1, g2), val in sorted(table.items()):
-                if g1 == g2:
-                    d = self._degrees[self._index[g1]]
-                    if d % 2 == 1 and self.scale(2, val):
+                i, j = self._index[g1], self._index[g2]
+                # {x, y} = -(-1)^((deg x + 1)(deg y + 1)) {y, x}
+                flipped = val if (self._degrees[i] + 1) * (self._degrees[j] + 1) % 2 else -val
+                if i == j:
+                    if self._degrees[i] % 2 == 1 and self.scale(2, val):
                         problems.append(
                             (
                                 ("bracket", g1, g2),
                                 f"self-bracket of odd generator '{g1}' must be 2-torsion",
                             )
                         )
-                elif (g2, g1) in table:
-                    e = (
-                        (self._degrees[self._index[g1]] + 1)
-                        * (self._degrees[self._index[g2]] + 1)
-                    ) % 2
-                    expected = self.scale(1 if e else -1, table[(g2, g1)])
-                    if val != expected:
-                        problems.append(
-                            (
-                                ("bracket", g1, g2),
-                                f"bracket [{g1},{g2}] conflicts with bracket [{g2},{g1}] under antisymmetry",
-                            )
+                elif (g2, g1) in table and table[(g2, g1)] != flipped:
+                    problems.append(
+                        (
+                            ("bracket", g1, g2),
+                            f"bracket [{g1},{g2}] conflicts with bracket [{g2},{g1}] under antisymmetry",
                         )
+                    )
+                if val:
+                    self._brackets[(i, j)] = val
+                    self._brackets.setdefault((j, i), flipped)
             self.bracket_on_generators = table
 
         if delta is not None:
@@ -578,6 +608,7 @@ class LoopModel:
                     if value is not None:
                         dtable[name] = value
                 self.delta_on_generators = dtable
+                self._deltas = {self._index[name]: v for name, v in dtable.items() if v}
                 if self.c0 is not None and not problems:
                     dc0 = self.delta(self.c0)
                     if dc0:
@@ -635,9 +666,6 @@ class LoopModel:
         if any(not isinstance(e, int) or e < 0 for e in exps):
             raise ModelError(f"exponents must be non-negative integers, got {exps}")
         return exps
-
-    def _gen_monomial(self, i: int) -> Monomial:
-        return tuple(1 if j == i else 0 for j in range(len(self.generators)))
 
     def mono_elem(self, raw: MonomialLike) -> Element:
         """The element ``1 * monomial`` in normal form."""
@@ -839,145 +867,87 @@ class LoopModel:
 
     # -- bracket and BV operator ---------------------------------------------
 
-    def _gen_bracket(self, i: int, j: int) -> Element:
-        data = self.bracket_on_generators
-        key = (self.generators[i].name, self.generators[j].name)
-        if key in data:
-            return data[key]
-        rkey = (key[1], key[0])
-        if rkey in data:
-            # {x, y} = -(-1)^((deg x + 1)(deg y + 1)) {y, x}
-            e = ((self._degrees[i] + 1) * (self._degrees[j] + 1)) % 2
-            return self.scale(1 if e else -1, data[rkey])
-        return self.zero()
+    def _add_product(self, acc: dict, c: int, m: Monomial, value: Element) -> None:
+        """Add ``c * m * value`` to the raw sum ``acc``."""
+        for mv, cv in value.terms.items():
+            hit = self._mono_mul(m, mv)
+            if hit is not None:
+                acc[hit[1]] = acc.get(hit[1], 0) + hit[0] * c * cv
 
-    def _peel(self, m: Monomial) -> tuple[int, Monomial]:
-        i = next(idx for idx, e in enumerate(m) if e)
-        rest = list(m)
-        rest[i] -= 1
-        return i, tuple(rest)
+    def _add_gen_bracket(self, acc: dict, c: int, left: Monomial, k: int, y: Monomial) -> None:
+        """Add ``c * left * {g_k, y}`` to ``acc``: one term per generator
+        ``g_l`` of ``y`` with a nonzero bracket ``B_kl``."""
+        degs, dk = self._degrees, self._degrees[k]
+        below, above = 0, self.monomial_degree(y)
+        for l, f in enumerate(y):
+            if f:
+                above -= f * degs[l]
+                b = self._brackets.get((k, l))
+                hit = None if b is None else self._mono_mul(left, _lowered(y, l))
+                if hit is not None:
+                    sign = _sign((dk + 1) * below + (dk + degs[l] + 1) * above)
+                    self._add_product(acc, c * f * sign * hit[0], hit[1], b)
+                below += f * degs[l]
 
-    def _peel_chain(self, m: Monomial, done) -> list[Monomial]:
-        """``m`` and what repeated ``_peel`` leaves of it, smallest first,
-        down to (not including) the first monomial ``done`` accepts.
-
-        The Leibniz recursions fill their caches along this chain from the
-        bottom up, so the stack depth does not grow with the exponent."""
-        chain = []
-        while not done(m):
-            chain.append(m)
-            m = self._peel(m)[1]
-        chain.reverse()
-        return chain
-
-    def _mono_bracket(self, m: Monomial, mp: Monomial) -> Element:
-        if not any(m) or not any(mp):
-            return self.zero()
-        cache = self._bracket_cache
-        out = cache.get((m, mp))
-        if out is None:
-            # walk down the slot the Leibniz rule peels: the second one
-            # when the first is a generator, else the first
-            if sum(m) == 1:
-                keys = [
-                    (m, x)
-                    for x in self._peel_chain(mp, lambda x: not any(x) or (m, x) in cache)
-                ]
-            else:
-                keys = [
-                    (x, mp)
-                    for x in self._peel_chain(m, lambda x: sum(x) == 1 or (x, mp) in cache)
-                ]
-            for key in keys:
-                out = cache[key] = self._bracket_step(*key)
-        return out
-
-    def _bracket_step(self, m: Monomial, mp: Monomial) -> Element:
-        """One Leibniz step; the brackets it needs are cached or have a
-        generator in the first slot."""
-        if sum(m) == 1:
-            g = m.index(1)
-            if sum(mp) == 1:
-                return self._gen_bracket(g, mp.index(1))
-            # {g, h*rest} = {g,h}*rest + (-1)^((deg g + 1) deg h) h*{g, rest}
-            h, rest = self._peel(mp)
-            t1 = self.mul(self._gen_bracket(g, h), self.mono_elem(rest))
-            sgn = -1 if ((self._degrees[g] + 1) * self._degrees[h]) % 2 else 1
-            t2 = self.mul(
-                self.mono_elem(self._gen_monomial(h)),
-                self._mono_bracket(self._gen_monomial(g), rest),
-            )
-            return self.zero()._sum(((1, t1), (sgn, t2)))
-        # {g*rest, y} = g*{rest, y} + (-1)^(deg rest (deg y + 1)) {g,y}*rest
-        g, rest = self._peel(m)
-        t1 = self.mul(
-            self.mono_elem(self._gen_monomial(g)), self._mono_bracket(rest, mp)
-        )
-        sgn = (
-            -1
-            if (self.monomial_degree(rest) * (self.monomial_degree(mp) + 1)) % 2
-            else 1
-        )
-        t2 = self.mul(
-            self._mono_bracket(self._gen_monomial(g), mp), self.mono_elem(rest)
-        )
-        return self.zero()._sum(((1, t1), (sgn, t2)))
+    def _add_bracket(self, acc: dict, c: int, m: Monomial, y: Monomial) -> None:
+        """Add ``c * {m, y}`` to ``acc``: one term per generator of ``m``."""
+        degs = self._degrees
+        above = self.monomial_degree(m)
+        for k, e in enumerate(m):
+            if e:
+                above -= e * degs[k]
+                self._add_gen_bracket(acc, c * e * _sign(degs[k] * above), _lowered(m, k), k, y)
 
     def bracket(self, x: Element, y: Element) -> Element:
-        """Loop bracket, extended from generator pairs by the graded
-        Leibniz rule in each slot; raises when the model carries no
-        bracket data."""
+        """Loop bracket: the biderivation with the given values on generator
+        pairs; raises when the model carries no bracket data."""
         self._check_same(x, y)
         if self.bracket_on_generators is None:
             raise ModelError("model carries no bracket data")
-        return self.zero()._sum(
-            (c1 * c2, self._mono_bracket(m1, m2))
-            for m1, c1 in x.terms.items()
-            for m2, c2 in y.terms.items()
-        )
+        acc: dict[Monomial, int] = {}
+        if self._brackets:
+            for m1, c1 in x.terms.items():
+                for m2, c2 in y.terms.items():
+                    self._add_bracket(acc, c1 * c2, m1, m2)
+        return self._from_raw(acc)
 
-    def _mono_delta(self, m: Monomial) -> Element:
-        if not any(m):
-            return self.zero()
-        cache = self._delta_cache
-        out = cache.get(m)
-        if out is None:
-            for x in self._peel_chain(m, lambda x: not any(x) or x in cache):
-                out = cache[x] = self._delta_step(x)
-        return out
-
-    def _delta_step(self, m: Monomial) -> Element:
-        """One Leibniz step; ``D(rest)`` is cached or ``rest`` is the unit."""
-        # D(g*rest) = D(g)*rest + (-1)^deg g (g*D(rest) + {g, rest})
-        g, rest = self._peel(m)
-        name = self.generators[g].name
-        dg = self.delta_on_generators.get(name, self.zero())
-        sgn = -1 if self._degrees[g] % 2 else 1
-        return self.zero()._sum(
-            (
-                (1, self.mul(dg, self.mono_elem(rest))),
-                (sgn, self.mul(self.mono_elem(self._gen_monomial(g)), self._mono_delta(rest))),
-                (sgn, self._mono_bracket(self._gen_monomial(g), rest)),
-            )
-        )
+    def _add_delta(self, acc: dict, c: int, m: Monomial) -> None:
+        """Add ``c * D(m)`` to ``acc``: up to three terms per generator of ``m``."""
+        degs, n = self._degrees, len(m)
+        below, above = 0, self.monomial_degree(m)
+        for k, e in enumerate(m):
+            if not e:
+                continue
+            dk = degs[k]
+            above -= e * dk
+            d = self._deltas.get(k)
+            if d is not None:
+                self._add_product(acc, c * e * _sign(below + (dk + 1) * above), _lowered(m, k), d)
+            head = (*m[:k], e - 1) + (0,) * (n - k - 1)
+            tail = (0,) * (k + 1) + m[k + 1:]
+            self._add_gen_bracket(acc, c * e * _sign(below + dk), head, k, tail)
+            b = self._brackets.get((k, k))
+            if e > 1 and b is not None:
+                ck = c * (e * (e - 1) // 2) * _sign(below + dk + above)
+                self._add_product(acc, ck, _lowered(m, k, 2), b)
+            below += e * dk
 
     def delta(self, x: Element) -> Element:
-        """BV operator: linear, degree +1, defined on monomials through the
-        generator values and the bracket; raises when the data is absent."""
+        """BV operator: degree +1, second order with the bracket as its
+        failure to be a derivation; raises when the data is absent."""
         self._check_same(x)
         if self.delta_on_generators is None or self.bracket_on_generators is None:
             raise ModelError("model carries no BV-operator data")
-        return self.zero()._sum((c, self._mono_delta(m)) for m, c in x.terms.items())
+        acc: dict[Monomial, int] = {}
+        if self._brackets or self._deltas:
+            for m, c in x.terms.items():
+                self._add_delta(acc, c, m)
+        return self._from_raw(acc)
 
     def clear_caches(self) -> None:
-        """Empty the modulus, bracket and BV-operator caches.
-
-        They keep an entry per monomial met (per peel step of a high
-        power) for the model's life; results do not change, later calls
-        only recompute what they need."""
+        """Empty the modulus cache, which keeps an entry per monomial met
+        for the model's life; values do not change."""
         self._modulus_cache.clear()
-        self._bracket_cache.clear()
-        self._delta_cache.clear()
 
     # -- printing --------------------------------------------------------------
 

@@ -19,7 +19,6 @@ import json
 import sys
 
 from .algebra import Element, ModelError
-from .checks import run_checks
 from .coalgebra import TensorElement
 from .expr import EvalError, ExprError, parse_expr, evaluate
 from .modelfile import ModelParseError, load_model
@@ -146,6 +145,9 @@ def _cmd_tqft(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    # imported here so that the other subcommands never load the law suite
+    from .checks import run_checks
+
     doc = load_model(args.model)
     report = run_checks(doc, max_abs_degree=args.window, seed=args.seed)
     if args.json:

@@ -4,6 +4,8 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loophom import LoopModel, ModelError, evaluate, parse_expr
 
@@ -259,11 +261,13 @@ def test_bv_and_bracket_of_powers_match_pinned_values(toy):
 def test_high_powers_do_not_grow_the_stack():
     model = _bv_data_model()
     a, v = model.gen("a"), model.gen("v")
-    n = 3000
-    assert model.bracket(a, v**n) == model.scale(n, v ** (n - 1))
-    assert model.bracket(v**n, a * v) == model.scale(-n, v**n)
-    # D(a v^n) = -(a D(v^n) + {a, v^n}) and a * a = 0
-    assert model.delta(a * v**n) == model.scale(-n, v ** (n - 1))
+    for n in (3000, 10**6):
+        assert model.bracket(a, v**n) == model.scale(n, v ** (n - 1))
+        assert model.bracket(v**n, a * v) == model.scale(-n, v**n)
+        # D(a v^n) = -(a D(v^n) + {a, v^n}) and a * a = 0
+        assert model.delta(a * v**n) == model.scale(-n, v ** (n - 1))
+    # the closed forms keep no entry per exponent
+    assert len(model._modulus_cache) < 100
 
 
 def test_clear_caches_empties_them_and_keeps_values():
@@ -272,9 +276,170 @@ def test_clear_caches_empties_them_and_keeps_values():
     powers = [v**k for k in range(1, 41)]
     deltas = [model.delta(x) for x in powers]
     brackets = [model.bracket(x, y) for x in powers for y in (a, v)]
-    caches = (model._modulus_cache, model._bracket_cache, model._delta_cache)
-    assert all(caches)
+    assert model._modulus_cache
     model.clear_caches()
-    assert not any(caches)
+    assert not model._modulus_cache
     assert [model.delta(x) for x in powers] == deltas
     assert [model.bracket(x, y) for x in powers for y in (a, v)] == brackets
+
+
+# -- closed forms against a word-level Leibniz expansion ---------------------------
+
+
+@st.composite
+def presentations(draw):
+    """Random valid presentations: odd and even generators, nilpotent
+    non-positive ones, torsion relations, and nonzero bracket (even
+    self-brackets included) and BV data.  The last generator ``c`` is the
+    constant-loop class, so its BV value stays unset."""
+    dim = draw(st.integers(1, 4))
+    degrees = draw(st.lists(st.integers(-4, 4), min_size=1, max_size=3)) + [-dim]
+    names = [f"g{i}" for i in range(len(degrees) - 1)] + ["c"]
+    relations = [
+        (1, {name: draw(st.integers(2, 4))})
+        for name, d in zip(names, degrees)
+        if d <= 0 and d % 2 == 0
+    ]
+    for _ in range(draw(st.integers(0, 2))):
+        mono = {name: draw(st.integers(0, 2)) for name in names}
+        if any(mono.values()):
+            relations.append((draw(st.sampled_from([2, 3, 4, 6])), mono))
+
+    def value(want):
+        # a combination of basis monomials of degree ``want``, picked by
+        # position once the model's basis is known
+        coeffs = st.sampled_from([-3, -2, -1, 1, 2, 3])
+        picks = draw(st.lists(st.tuples(coeffs, st.integers(0, 99)), min_size=1, max_size=3))
+
+        def build(model):
+            basis = model.enumerate_basis(want)
+            return model.normal_form([(c, basis[k % len(basis)][0]) for c, k in picks if basis])
+
+        return build
+
+    # every pair gets a value; it is zero when no monomial has its degree
+    bracket = {}
+    for i, (gi, di) in enumerate(zip(names, degrees)):
+        for gj, dj in zip(names[i:], degrees[i:]):
+            if gi != gj or di % 2 == 0:
+                key = (gi, gj) if draw(st.booleans()) else (gj, gi)
+                bracket[key] = value(di + dj + 1)
+    delta = {name: value(d + 1) for name, d in zip(names[:-1], degrees) if draw(st.booleans())}
+    return LoopModel(
+        dim=dim,
+        euler=0,
+        generators=list(zip(names, degrees)),
+        relations=relations,
+        c0={"c": 1},
+        delta=delta,
+        bracket=bracket,
+    )
+
+
+def _word(m):
+    """The letters of a monomial in declaration order, as generator indices."""
+    return [i for i, e in enumerate(m) for _ in range(e)]
+
+
+def _word_ops(model):
+    """Bracket and BV operator on words of generators, expanded letter by
+    letter from the Leibniz rules; only the loop product is trusted."""
+    names = [g.name for g in model.generators]
+    degs = [g.degree for g in model.generators]
+    data, dvals = model.bracket_on_generators, model.delta_on_generators
+
+    def sign(p):
+        return -1 if p % 2 else 1
+
+    def prod(*factors):
+        out = model.unit()
+        for f in factors:
+            out = model.mul(out, f)
+        return out
+
+    def letters(w):
+        return prod(*(model.gen(names[i]) for i in w))
+
+    def deg(w):
+        return sum(degs[i] for i in w)
+
+    def gen_bracket(i, j):
+        if (names[i], names[j]) in data:
+            return data[(names[i], names[j])]
+        if (names[j], names[i]) in data:
+            # {x, y} = -(-1)^((|x| + 1)(|y| + 1)) {y, x}
+            return sign((degs[i] + 1) * (degs[j] + 1) + 1) * data[(names[j], names[i])]
+        return model.zero()
+
+    def bracket(u, w):
+        # {u_1..u_n, z} = sum_i (-1)^((|z|+1)|u_>i|) u_<i {u_i, z} u_>i
+        # {x, w_1..w_p} = sum_j (-1)^((|x|+1)|w_<j|) w_<j {x, w_j} w_>j
+        out = model.zero()
+        for a, i in enumerate(u):
+            s_u = sign((deg(w) + 1) * deg(u[a + 1:]))
+            for b, j in enumerate(w):
+                s_w = sign((degs[i] + 1) * deg(w[:b]))
+                inner = prod(letters(w[:b]), gen_bracket(i, j), letters(w[b + 1:]))
+                out += s_u * s_w * prod(letters(u[:a]), inner, letters(u[a + 1:]))
+        return out
+
+    def delta(u):
+        # D(g r) = D(g) r + (-1)^|g| (g D(r) + {g, r}), unrolled over u
+        out = model.zero()
+        for a, i in enumerate(u):
+            dg = dvals.get(names[i], model.zero())
+            step = prod(dg, letters(u[a + 1:])) + sign(degs[i]) * bracket([i], u[a + 1:])
+            out += sign(deg(u[:a])) * prod(letters(u[:a]), step)
+        return out
+
+    return bracket, delta
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_closed_forms_match_the_word_level_leibniz_expansion(data):
+    model = data.draw(presentations())
+    word_bracket, word_delta = _word_ops(model)
+
+    def monomials():
+        caps = [1 if d % 2 else (6 if cap is None else min(cap, 6)) for d, cap in zip(model._degrees, model._caps)]
+        return st.tuples(*(st.integers(0, c) for c in caps)).map(model.mono_elem)
+
+    for _ in range(4):
+        x, y = data.draw(monomials()), data.draw(monomials())
+        expected = model.zero()
+        for m1, c1 in x.terms.items():
+            for m2, c2 in y.terms.items():
+                expected += c1 * c2 * word_bracket(_word(m1), _word(m2))
+        assert model.bracket(x, y) == expected, (x, y)
+        expected = model.zero()
+        for m, c in x.terms.items():
+            expected += c * word_delta(_word(m))
+        assert model.delta(x) == expected, x
+
+
+def test_closed_forms_match_the_word_level_leibniz_expansion_on_a_window():
+    # every sign path on every pair of basis monomials: odd-odd, odd-even
+    # and even self-brackets, nonzero D on an odd and an even generator,
+    # and 3-torsion
+    model = LoopModel(
+        dim=1,
+        euler=0,
+        generators=[("x", -1), ("v", 2), ("y", 1)],
+        relations=[(3, {"y": 1, "v": 2})],
+        c0={"x": 1},
+        delta={"y": {"v": 1}, "v": [(1, {"y": 1, "v": 1}), (-1, {"x": 1, "v": 2})]},
+        bracket={
+            ("x", "y"): {"y": 1},
+            ("v", "x"): {"v": 1},
+            ("y", "v"): [(2, {"v": 2})],
+            ("v", "v"): {"y": 1, "v": 2},
+        },
+    )
+    word_bracket, word_delta = _word_ops(model)
+    monomials = [m for _, m, _ in model.basis_window(7)]
+    for m1 in monomials:
+        x = model.mono_elem(m1)
+        assert model.delta(x) == word_delta(_word(m1)), m1
+        for m2 in monomials:
+            assert model.bracket(x, model.mono_elem(m2)) == word_bracket(_word(m1), _word(m2)), (m1, m2)

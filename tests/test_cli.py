@@ -220,6 +220,28 @@ print(json.dumps([code, out.getvalue(), sorted({{m.split('.')[0] for m in sys.mo
     assert not outside
 
 
+def test_eval_does_not_load_the_law_suite():
+    # only ``check`` needs loophom.checks (and, through it, random); the
+    # package still resolves the law-suite names on first use
+    src = Path(__file__).resolve().parent.parent / "src"
+    script = f"""
+import contextlib, io, sys
+sys.path.insert(0, {str(src)!r})
+from loophom import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["eval", "--model", "sphere:4", "psi(1)"])
+print(code, sorted({{"loophom.checks", "random"}} & set(sys.modules)))
+from loophom import run_checks, DenseOracle
+import loophom
+print(run_checks is loophom.checks.run_checks, DenseOracle.__module__)
+"""
+    proc = subprocess.run(
+        [sys.executable, "-I", "-S", "-B", "-c", script], capture_output=True, text=True
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "0 []\nTrue loophom.checks\n"
+
+
 def run_in_process(argv):
     """``cli.main(argv)`` in this process: exit code, stdout, stderr."""
     out, err = io.StringIO(), io.StringIO()
