@@ -209,9 +209,6 @@ class Combination:
         self.model = model
         self.terms = terms
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __bool__(self) -> bool:
         return bool(self.terms)
 
@@ -309,9 +306,6 @@ class Element(Combination):
             return str(c_abs)
         body = self.model.format_monomial(m)
         return body if c_abs == 1 else f"{c_abs}*{body}"
-
-    def degree(self):
-        return self.model.degree_of(self)
 
     def __mul__(self, other):
         if isinstance(other, Element):
@@ -486,26 +480,15 @@ class LoopModel:
         ]
         self._all_relations = self.relations + tuple(implicit)
 
-        # one pass over the relations collects each generator's pure-power
-        # relations; one on the unit monomial is a pure power of every one
-        powers: list[list[tuple[int, int]]] = [[] for _ in gens]
-        for rel in self._all_relations:
-            support = [i for i, e in enumerate(rel.monomial) if e]
-            if not support:
-                for pw in powers:
-                    pw.append((0, rel.coeff))
-            elif len(support) == 1:
-                i = support[0]
-                powers[i].append((rel.monomial[i], rel.coeff))
         caps: list[int | None] = []
-        for g, pw in zip(gens, powers):
-            # smallest e with g^e = 0
-            cap: int | None = None
-            running = 0
-            for threshold, k in sorted(pw):
-                running = gcd(running, k)
-                if running == 1:
-                    cap = max(threshold - 1, 0)
+        for i, g in enumerate(gens):
+            # g^t = 0 from the first exponent t of a relation on a power of
+            # g (t = 0 for a relation on 1) at which g^t is dead
+            powers = {r.monomial[i] for r in self._all_relations if sum(r.monomial) == r.monomial[i]}
+            cap = None
+            for t in sorted(powers):
+                if self.modulus((0,) * i + (t,) + (0,) * (n - i - 1)) == 1:
+                    cap = max(t - 1, 0)
                     break
             if cap is None and g.degree <= 0:
                 problems.append(
@@ -615,6 +598,28 @@ class LoopModel:
                         problems.append(
                             (("delta",), f"delta of the constant-loop class must vanish, got {dc0}")
                         )
+
+        # both operations are defined on the quotient only when they vanish
+        # on every relation k*m = 0: k*{g, m} = 0 for each generator g, and
+        # k*D(m) = 0; a monomial with an odd generator squared is zero
+        if not problems and (self._brackets or self._deltas):
+            unit = (0,) * len(self.generators)
+            for pos, rel in enumerate(self.relations, 1):
+                k, m = rel.coeff, rel.monomial
+                if any(m[i] > 1 for i in self._odd_idx):
+                    continue
+                where, text = ("relation", pos), f"relation {k} * {self.format_monomial(m)}"
+                for i, g in enumerate(self.generators):
+                    acc: dict[Monomial, int] = {}
+                    self._add_gen_bracket(acc, k, unit, i, m)
+                    if value := self._from_raw(acc):
+                        msg = f"bracket with '{g.name}' does not vanish on {text}: got {value}"
+                        problems.append((where, msg))
+                if self.delta_on_generators is not None:
+                    acc = {}
+                    self._add_delta(acc, k, m)
+                    if value := self._from_raw(acc):
+                        problems.append((where, f"delta does not vanish on {text}: got {value}"))
 
         if problems:
             raise ModelError(problems)

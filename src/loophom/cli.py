@@ -18,9 +18,9 @@ import argparse
 import json
 import sys
 
-from .algebra import Element, ModelError
+from .algebra import Element
 from .coalgebra import TensorElement
-from .expr import EvalError, ExprError, parse_expr, evaluate
+from .expr import EvalError, parse_expr, evaluate
 from .modelfile import ModelParseError, load_model
 from .tqft import Surface, string_operation
 
@@ -167,7 +167,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ModelParseError, ExprError, EvalError, ModelError, ValueError, OSError) as exc:
+    except (ModelParseError, ValueError, OSError) as exc:
         print(f"loophom: error: {exc}", file=sys.stderr)
         return 2
 

@@ -111,20 +111,12 @@ ExprAst = Union[Lit, Name, Neg, BinOp, Pow, Call, MuCall, TensorExpr]
 
 # -- tokenizer ----------------------------------------------------------------
 
-
-class _Token(FrozenRecord):
-    __slots__ = ("kind", "text", "pos")
-
-    def __init__(self, kind: str, text: str, pos: int):
-        _set_field(self, "kind", kind)  # INT NAME OP TENSOR END
-        _set_field(self, "text", text)
-        _set_field(self, "pos", pos)  # 0-based offset into the source
+_OP_CHARS = "+-*^(),;"
 
 
-_OP_CHARS = set("+-*^(),;")
-
-
-def _tokenize(text: str) -> list[_Token]:
+def _tokenize(text: str) -> list[tuple[str, int]]:
+    """``(text, offset)`` pairs ending in ``("", len(text))``.  A token is
+    ``(x)``, a run of decimal digits, a name, or one of ``_OP_CHARS``."""
     tokens = []
     i = 0
     n = len(text)
@@ -133,30 +125,20 @@ def _tokenize(text: str) -> list[_Token]:
         if c in " \t\r\n":
             i += 1
             continue
+        j = i + 1
         if text.startswith("(x)", i):
-            tokens.append(_Token("TENSOR", "(x)", i))
-            i += 3
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
+            j = i + 3
+        elif c.isdecimal():
+            while j < n and text[j].isdecimal():
                 j += 1
-            tokens.append(_Token("INT", text[i:j], i))
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
+        elif c.isalpha() or c == "_":
             while j < n and (text[j].isalnum() or text[j] == "_"):
                 j += 1
-            tokens.append(_Token("NAME", text[i:j], i))
-            i = j
-            continue
-        if c in _OP_CHARS:
-            tokens.append(_Token("OP", c, i))
-            i += 1
-            continue
-        raise ExprError(f"unexpected character {c!r}", i + 1)
-    tokens.append(_Token("END", "", n))
+        elif c not in _OP_CHARS:
+            raise ExprError(f"unexpected character {c!r}", i + 1)
+        tokens.append((text[i:j], i))
+        i = j
+    tokens.append(("", n))
     return tokens
 
 
@@ -164,132 +146,120 @@ def _tokenize(text: str) -> list[_Token]:
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token], names: set[str]):
+    """Recursive descent over token text: ``(x)`` is the tensor sign, text
+    starting with a digit an integer, with a letter or ``_`` a name, and
+    anything else one operator character; ``""`` is the end."""
+
+    def __init__(self, tokens: list[tuple[str, int]], names: set[str]):
         self.tokens = tokens
         self.pos = 0
         self.names = names
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
+    def peek(self) -> str:
+        return self.tokens[self.pos][0]
 
-    def next(self) -> _Token:
-        tok = self.tokens[self.pos]
+    def at(self, *texts: str) -> bool:
+        # a tuple, not a string: "" is in every string
+        return self.tokens[self.pos][0] in texts
+
+    def next(self) -> str:
         self.pos += 1
-        return tok
+        return self.tokens[self.pos - 1][0]
 
-    def fail(self, message: str, tok: _Token | None = None):
-        tok = tok or self.peek()
-        raise ExprError(message, tok.pos + 1)
+    def fail(self, message: str):
+        raise ExprError(message, self.tokens[self.pos][1] + 1)
 
-    def expect_op(self, ch: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != "OP" or tok.text != ch:
-            self.fail(f"expected '{ch}'")
-        return self.next()
+    def expect(self, text: str) -> int:
+        """Consume ``text``; its 1-based column."""
+        if not self.at(text):
+            self.fail(f"expected '{text}'")
+        self.pos += 1
+        return self.tokens[self.pos - 1][1] + 1
 
     def parse(self) -> ExprAst:
         ast = self.tensor()
-        if self.peek().kind != "END":
-            self.fail(f"unexpected trailing input '{self.peek().text}'")
+        if self.peek():
+            self.fail(f"unexpected trailing input '{self.peek()}'")
         return ast
 
     def tensor(self) -> ExprAst:
-        first = self.sum()
-        if not (self.peek().kind == "TENSOR"):
-            return first
-        factors = [first]
-        while self.peek().kind == "TENSOR":
+        factors = [self.sum()]
+        while self.at("(x)"):
             self.next()
             factors.append(self.sum())
-        return TensorExpr(tuple(factors))
+        return factors[0] if len(factors) == 1 else TensorExpr(tuple(factors))
 
     def sum(self) -> ExprAst:
-        tok = self.peek()
-        if tok.kind == "OP" and tok.text in "+-":
-            self.next()
-            node = self.product()
-            if tok.text == "-":
-                node = Neg(node)
-        else:
-            node = self.product()
-        while self.peek().kind == "OP" and self.peek().text in "+-":
-            op = self.next().text
+        sign = self.next() if self.at("+", "-") else "+"
+        node = self.product()
+        if sign == "-":
+            node = Neg(node)
+        while self.at("+", "-"):
+            op = self.next()
             node = BinOp(op, node, self.product())
         return node
 
     def product(self) -> ExprAst:
         node = self.power()
-        while self.peek().kind == "OP" and self.peek().text == "*":
+        while self.at("*"):
             self.next()
             node = BinOp("*", node, self.power())
         return node
 
     def power(self) -> ExprAst:
         node = self.atom()
-        if self.peek().kind == "OP" and self.peek().text == "^":
+        if self.at("^"):
             self.next()
-            tok = self.peek()
-            if tok.kind != "INT":
-                self.fail("exponent must be a non-negative integer literal")
-            self.next()
-            node = Pow(node, int(tok.text))
+            node = Pow(node, self.int_literal("exponent must be a non-negative integer literal"))
         return node
 
-    def int_literal(self) -> int:
-        tok = self.peek()
-        if tok.kind != "INT":
-            self.fail("expected an integer")
-        self.next()
-        return int(tok.text)
+    def int_literal(self, message: str = "expected an integer") -> int:
+        if not self.peek()[:1].isdecimal():
+            self.fail(message)
+        return int(self.next())
 
     def atom(self) -> ExprAst:
-        tok = self.peek()
-        if tok.kind == "INT":
-            self.next()
-            return Lit(int(tok.text))
-        if tok.kind == "OP" and tok.text == "(":
+        text = self.peek()
+        if text[:1].isdecimal():
+            return Lit(int(self.next()))
+        if text == "(":
             self.next()
             node = self.tensor()
-            self.expect_op(")")
+            self.expect(")")
             return node
-        if tok.kind == "NAME":
-            if tok.text in RESERVED_NAMES:
+        if text[:1].isalpha() or text[:1] == "_":
+            if text in RESERVED_NAMES:
                 return self.call()
+            if text not in self.names:
+                self.fail(f"unknown generator '{text}'")
             self.next()
-            if tok.text not in self.names:
-                raise ExprError(f"unknown generator '{tok.text}'", tok.pos + 1)
-            return Name(tok.text)
-        self.fail(f"expected a value, got '{tok.text or 'end of input'}'", tok)
+            return Name(text)
+        self.fail(f"expected a value, got '{text or 'end of input'}'")
 
     def call(self) -> ExprAst:
-        func = self.next().text
-        self.expect_op("(")
+        func = self.next()
+        self.expect("(")
         if func == "mu":
             genus = self.int_literal()
-            self.expect_op(",")
+            self.expect(",")
             inputs = self.int_literal()
-            self.expect_op(",")
+            self.expect(",")
             outputs = self.int_literal()
-            self.expect_op(";")
+            self.expect(";")
         # only mu may take no arguments
-        at_close = self.peek().kind == "OP" and self.peek().text == ")"
-        args = [] if func == "mu" and at_close else [self.tensor()]
-        while self.peek().kind == "OP" and self.peek().text == ",":
+        args = [] if func == "mu" and self.at(")") else [self.tensor()]
+        while self.at(","):
             self.next()
             args.append(self.tensor())
-        close = self.expect_op(")")
+        close = self.expect(")")
         if func == "mu":
             if len(args) != inputs:
-                raise ExprError(
-                    f"mu declared {inputs} inputs but got {len(args)} arguments",
-                    close.pos + 1,
-                )
+                raise ExprError(f"mu declared {inputs} inputs but got {len(args)} arguments", close)
             return MuCall(genus, inputs, outputs, tuple(args))
         want = 2 if func == "bracket" else 1
         if len(args) != want:
             raise ExprError(
-                f"{func} takes {want} argument{'s' if want > 1 else ''}, got {len(args)}",
-                close.pos + 1,
+                f"{func} takes {want} argument{'s' if want > 1 else ''}, got {len(args)}", close
             )
         return Call(func, tuple(args))
 

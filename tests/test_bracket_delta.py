@@ -4,7 +4,7 @@ import json
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from loophom import LoopModel, ModelError, evaluate, parse_expr
@@ -227,6 +227,38 @@ def test_bracket_unknown_generator_rejected():
         )
 
 
+def test_bracket_must_vanish_on_a_relation():
+    # {a, v} = 1 would give {a, 2*v} = 2, but 2*v = 0
+    with pytest.raises(ModelError) as exc:
+        LoopModel(
+            dim=3,
+            euler=0,
+            generators=[("a", -3), ("v", 2)],
+            relations=[(2, {"v": 1})],
+            c0={"a": 1},
+            bracket={("a", "v"): 1},
+        )
+    assert exc.value.problems == [
+        (("relation", 1), "bracket with 'a' does not vanish on relation 2 * v: got 2")
+    ]
+
+
+def test_delta_must_vanish_on_a_relation():
+    with pytest.raises(ModelError) as exc:
+        LoopModel(
+            dim=3,
+            euler=0,
+            generators=[("a", -3), ("v", 2), ("w", 3)],
+            relations=[(2, {"v": 1})],
+            c0={"a": 1},
+            delta={"v": {"w": 1}},
+            bracket={("a", "v"): 0},
+        )
+    assert exc.value.problems == [
+        (("relation", 1), "delta does not vanish on relation 2 * v: got 2*w")
+    ]
+
+
 def _bv_data_model():
     """The ``bv_model`` presentation with a nonzero BV operator on ``v``."""
     return LoopModel(
@@ -291,7 +323,8 @@ def presentations(draw):
     """Random valid presentations: odd and even generators, nilpotent
     non-positive ones, torsion relations, and nonzero bracket (even
     self-brackets included) and BV data.  The last generator ``c`` is the
-    constant-loop class, so its BV value stays unset."""
+    constant-loop class, so its BV value stays unset.  Draws whose bracket
+    or BV values do not vanish on a relation are rejected."""
     dim = draw(st.integers(1, 4))
     degrees = draw(st.lists(st.integers(-4, 4), min_size=1, max_size=3)) + [-dim]
     names = [f"g{i}" for i in range(len(degrees) - 1)] + ["c"]
@@ -325,15 +358,18 @@ def presentations(draw):
                 key = (gi, gj) if draw(st.booleans()) else (gj, gi)
                 bracket[key] = value(di + dj + 1)
     delta = {name: value(d + 1) for name, d in zip(names[:-1], degrees) if draw(st.booleans())}
-    return LoopModel(
-        dim=dim,
-        euler=0,
-        generators=list(zip(names, degrees)),
-        relations=relations,
-        c0={"c": 1},
-        delta=delta,
-        bracket=bracket,
-    )
+    try:
+        return LoopModel(
+            dim=dim,
+            euler=0,
+            generators=list(zip(names, degrees)),
+            relations=relations,
+            c0={"c": 1},
+            delta=delta,
+            bracket=bracket,
+        )
+    except ModelError:
+        reject()
 
 
 def _word(m):
@@ -420,26 +456,33 @@ def test_closed_forms_match_the_word_level_leibniz_expansion(data):
 
 def test_closed_forms_match_the_word_level_leibniz_expansion_on_a_window():
     # every sign path on every pair of basis monomials: odd-odd, odd-even
-    # and even self-brackets, nonzero D on an odd and an even generator,
-    # and 3-torsion
-    model = LoopModel(
-        dim=1,
-        euler=0,
-        generators=[("x", -1), ("v", 2), ("y", 1)],
-        relations=[(3, {"y": 1, "v": 2})],
-        c0={"x": 1},
-        delta={"y": {"v": 1}, "v": [(1, {"y": 1, "v": 1}), (-1, {"x": 1, "v": 2})]},
-        bracket={
-            ("x", "y"): {"y": 1},
-            ("v", "x"): {"v": 1},
-            ("y", "v"): [(2, {"v": 2})],
-            ("v", "v"): {"y": 1, "v": 2},
-        },
-    )
-    word_bracket, word_delta = _word_ops(model)
-    monomials = [m for _, m, _ in model.basis_window(7)]
-    for m1 in monomials:
-        x = model.mono_elem(m1)
-        assert model.delta(x) == word_delta(_word(m1)), m1
-        for m2 in monomials:
-            assert model.bracket(x, model.mono_elem(m2)) == word_bracket(_word(m1), _word(m2)), (m1, m2)
+    # and even self-brackets, nonzero D on an odd and an even generator;
+    # once with 3-torsion, whose relation the values must vanish on, and
+    # once torsion-free, where D(y) and {y, v} need no factor x
+    def window_model(relations, dy, yv):
+        return LoopModel(
+            dim=1,
+            euler=0,
+            generators=[("x", -1), ("v", 2), ("y", 1)],
+            relations=relations,
+            c0={"x": 1},
+            delta={"y": dy, "v": [(1, {"y": 1, "v": 1}), (-1, {"x": 1, "v": 2})]},
+            bracket={
+                ("x", "y"): {"y": 1},
+                ("v", "x"): {"v": 1},
+                ("y", "v"): [(2, yv)],
+                ("v", "v"): {"y": 1, "v": 2},
+            },
+        )
+
+    for model in (
+        window_model([(3, {"y": 1, "v": 2})], {"x": 1, "y": 1, "v": 1}, {"x": 1, "y": 1, "v": 2}),
+        window_model([], {"v": 1}, {"v": 2}),
+    ):
+        word_bracket, word_delta = _word_ops(model)
+        monomials = [m for _, m, _ in model.basis_window(7)]
+        for m1 in monomials:
+            x = model.mono_elem(m1)
+            assert model.delta(x) == word_delta(_word(m1)), m1
+            for m2 in monomials:
+                assert model.bracket(x, model.mono_elem(m2)) == word_bracket(_word(m1), _word(m2)), (m1, m2)

@@ -36,6 +36,17 @@ delta b = 0
 bracket [b,v] = 0
 """
 
+# {a, v} = 1 is not defined on the quotient by 2*v = 0
+TORSION_BRACKET_TEXT = """\
+dim = 3
+euler = 0
+generator a deg = -3
+generator v deg = 2
+relation 2 * v
+c0 = a
+bracket [a,v] = 1
+"""
+
 
 def run_cli(*args, **kwargs):
     return subprocess.run(
@@ -71,6 +82,12 @@ def test_eval_parse_error_exits_two():
     out = run_cli("eval", "--model", "sphere:4", "psi(a,b)")
     assert out.returncode == 2
     assert "error" in out.stderr
+
+
+def test_eval_non_decimal_digit_exits_two_with_a_column():
+    out = run_cli("eval", "--model", "sphere:4", "v^²")
+    assert (out.returncode, out.stdout) == (2, "")
+    assert out.stderr == "loophom: error: unexpected character '²' (column 3)\n"
 
 
 def test_eval_unknown_model_exits_two():
@@ -186,6 +203,17 @@ def test_model_file_with_errors_exits_two(tmp_path):
     out = run_cli("eval", "--model", str(path), "1")
     assert out.returncode == 2
     assert "line 9" in out.stderr
+
+
+def test_bracket_that_ignores_a_relation_is_rejected(tmp_path):
+    path = tmp_path / "torsion.model"
+    path.write_text(TORSION_BRACKET_TEXT)
+    for expr in ("bracket(a, v)", "bracket(a, 3*v)", "bracket(a, 2*v)"):
+        out = run_cli("eval", "--model", str(path), expr)
+        assert (out.returncode, out.stdout) == (2, "")
+        assert out.stderr == (
+            "loophom: error: line 5: bracket with 'a' does not vanish on relation 2 * v: got 2\n"
+        )
 
 
 def test_usage_error_exits_two():

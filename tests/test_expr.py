@@ -87,6 +87,14 @@ def test_exponent_must_be_literal(s4):
         parse_expr("a^-2", s4)
 
 
+def test_non_decimal_digits_are_located(s4):
+    # '²'.isdigit() holds, but int('²') fails; other decimal digits are integers
+    with pytest.raises(ExprError) as exc:
+        parse_expr("v^²", s4)
+    assert str(exc.value) == "unexpected character '²' (column 3)"
+    assert run_expr(s4, "v^\u0663") == s4.gen("v") ** 3
+
+
 def test_trailing_garbage_rejected(s4):
     with pytest.raises(ExprError, match="trailing"):
         parse_expr("a v", s4)

@@ -95,6 +95,13 @@ def test_unknown_name_in_c0_expression():
     assert line == 10 and "unknown generator 'zz'" in msg
 
 
+def test_non_decimal_digit_in_a_value_is_located():
+    text = S4_TEXT.replace("c0 = a", "c0 = a^²")
+    with pytest.raises(ModelParseError) as exc:
+        parse_model(text)
+    assert exc.value.errors == [(10, "unexpected character '²' (column 3)")]
+
+
 def test_calls_not_allowed_in_model_files():
     text = S4_TEXT.replace("c0 = a", "c0 = psi(a)")
     with pytest.raises(ModelParseError) as exc:
