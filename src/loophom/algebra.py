@@ -58,7 +58,6 @@ grow with the exponents.
 
 from __future__ import annotations
 
-import itertools
 import re
 from collections.abc import Mapping
 from math import gcd
@@ -555,16 +554,22 @@ class LoopModel:
                     table[(g1, g2)] = value
             for (g1, g2), val in sorted(table.items()):
                 i, j = self._index[g1], self._index[g2]
-                # {x, y} = -(-1)^((deg x + 1)(deg y + 1)) {y, x}
+                # {x, y} = -(-1)^((deg x + 1)(deg y + 1)) {y, x}; an even
+                # self-bracket is its own flip
                 flipped = val if (self._degrees[i] + 1) * (self._degrees[j] + 1) % 2 else -val
-                if i == j:
-                    if self._degrees[i] % 2 == 1 and self.scale(2, val):
+                if i == j and self._degrees[i] % 2 == 1:
+                    # g*g = 0 makes {g, g} 2-torsion; with BV data it is
+                    # D(g)*g - g*D(g) - D(g*g) = 0, as D(g) is even
+                    if self.scale(2, val):
                         problems.append(
                             (
                                 ("bracket", g1, g2),
                                 f"self-bracket of odd generator '{g1}' must be 2-torsion",
                             )
                         )
+                    elif val and delta is not None:
+                        msg = f"self-bracket of odd generator '{g1}' must vanish with BV data, got {val}"
+                        problems.append((("bracket", g1, g2), msg))
                 elif (g2, g1) in table and table[(g2, g1)] != flipped:
                     problems.append(
                         (
@@ -809,65 +814,54 @@ class LoopModel:
     # -- basis enumeration ---------------------------------------------------
 
     def enumerate_basis(self, degree: int) -> list[tuple[Monomial, int]]:
-        """All surviving monomials of the given degree with their moduli.
-
-        The work is one step per combination of the exponents of the
-        non-positive generators (each up to its nilpotence cap) and of all
-        but the last positive generator (each up to the degree left over);
-        the last positive exponent is solved directly."""
-        n = len(self.generators)
-        nonpos = [i for i in range(n) if self._degrees[i] <= 0]
-        pos = [i for i in range(n) if self._degrees[i] > 0]
-        out: list[tuple[Monomial, int]] = []
-        ranges = [range(self._caps[i] + 1) for i in nonpos]
-        for combo in itertools.product(*ranges):
-            exps = [0] * n
-            part = 0
-            for i, e in zip(nonpos, combo):
-                exps[i] = e
-                part += e * self._degrees[i]
-            need = degree - part
-            if need < 0:
-                continue
-            for assignment in self._fill_positive(pos, 0, need, []):
-                vec = list(exps)
-                for i, e in zip(pos, assignment):
-                    vec[i] = e
-                m = tuple(vec)
-                mod = self.modulus(m)
-                if mod != 1:
-                    out.append((m, mod))
-        out.sort()
-        return out
-
-    def _fill_positive(self, pos, idx, remaining, acc):
-        if idx == len(pos):
-            if remaining == 0:
-                yield tuple(acc)
-            return
-        i = pos[idx]
-        d = self._degrees[i]
-        emax = remaining // d
-        cap = self._caps[i]
-        if cap is not None:
-            emax = min(emax, cap)
-        if idx == len(pos) - 1:
-            # the last exponent is solved, not searched: only
-            # remaining / d can finish the degree
-            if emax * d == remaining:
-                yield (*acc, emax)
-            return
-        for e in range(emax + 1):
-            acc.append(e)
-            yield from self._fill_positive(pos, idx + 1, remaining - e * d, acc)
-            acc.pop()
+        """All surviving monomials of the given degree with their moduli,
+        sorted: the interval ``[degree, degree]`` of :meth:`_basis_between`,
+        where the last positive exponent is solved directly."""
+        return [(m, mod) for _, m, mod in self._basis_between(degree, degree)]
 
     def basis_window(self, max_abs_degree: int) -> list[tuple[int, Monomial, int]]:
-        """All basis monomials with ``|degree| <= max_abs_degree``."""
-        out = []
-        for deg in range(-max_abs_degree, max_abs_degree + 1):
-            for mono, mod in self.enumerate_basis(deg):
-                out.append((deg, mono, mod))
+        """All basis monomials with ``|degree| <= max_abs_degree`` as sorted
+        ``(degree, monomial, modulus)`` triples: one pass of
+        :meth:`_basis_between` over ``[-max_abs_degree, max_abs_degree]``."""
+        return self._basis_between(-max_abs_degree, max_abs_degree)
+
+    def _basis_between(self, lo: int, hi: int) -> list[tuple[int, Monomial, int]]:
+        """Sorted ``(degree, monomial, modulus)`` for every surviving
+        monomial with ``lo <= degree <= hi``.
+
+        One recursion sets the exponents generator by generator: first the
+        non-positive generators, each up to its nilpotence cap, then the
+        positive ones, each up to its cap and to the degree left below
+        ``hi``.  The last positive exponent takes only the values that land
+        the degree in ``[lo, hi]``, so the work is one step per choice of
+        the other exponents plus one per monomial found."""
+        degs, caps = self._degrees, self._caps
+        order = sorted(range(len(degs)), key=lambda i: degs[i] > 0)
+        last = len(order) - 1
+        vec = [0] * len(degs)
+        out: list[tuple[int, Monomial, int]] = []
+
+        def visit(pos: int, deg: int) -> None:
+            if pos > last:
+                if lo <= deg <= hi:
+                    m = tuple(vec)
+                    mod = self.modulus(m)
+                    if mod != 1:
+                        out.append((deg, m, mod))
+                return
+            i = order[pos]
+            d, first, top = degs[i], 0, caps[i]
+            if d > 0:
+                room = (hi - deg) // d
+                top = room if top is None else min(top, room)
+                if pos == last:
+                    first = max(0, -((deg - lo) // d))
+            for e in range(first, top + 1):
+                vec[i] = e
+                visit(pos + 1, deg + e * d)
+
+        visit(0, 0)
+        out.sort()
         return out
 
     # -- bracket and BV operator ---------------------------------------------

@@ -37,10 +37,11 @@ class TensorElement(Combination):
         return body if c_abs == 1 else f"{c_abs}*{body}"
 
     def as_element(self) -> Element:
-        """Convert an arity-1 tensor back to a plain element."""
+        """Convert an arity-1 tensor back to a plain element; its terms are
+        already reduced modulo each monomial's modulus."""
         if self.arity != 1:
             raise ValueError(f"cannot convert arity-{self.arity} tensor to an element")
-        return self.model.normal_form([(c, ms[0]) for ms, c in self.terms.items()])
+        return Element(self.model, {ms[0]: c for ms, c in self.terms.items()})
 
 
 def tensor_zero(model: LoopModel, arity: int) -> TensorElement:

@@ -259,6 +259,29 @@ def test_delta_must_vanish_on_a_relation():
     ]
 
 
+def test_odd_self_bracket_must_vanish_with_bv_data():
+    # g*g = 0 allows a 2-torsion {g, g}; with BV data
+    # {g, g} = D(g)*g - g*D(g) - D(g*g) = 0
+    presentation = dict(
+        dim=1,
+        euler=0,
+        generators=[("x", -1), ("g", 1), ("w", 3)],
+        relations=[(2, {"w": 1})],
+        c0={"x": 1},
+        bracket={("g", "g"): {"w": 1}},
+    )
+    model = LoopModel(**presentation)
+    g = model.gen("g")
+    assert model.bracket(g, g) == model.gen("w")
+    with pytest.raises(ModelError) as exc:
+        LoopModel(**presentation, delta={"g": 0})
+    assert exc.value.problems == [
+        (("bracket", "g", "g"), "self-bracket of odd generator 'g' must vanish with BV data, got w")
+    ]
+    bv = LoopModel(**dict(presentation, bracket={("g", "g"): 0}), delta={"g": 0})
+    assert bv.bracket(bv.gen("g"), bv.gen("g")) == 0
+
+
 def _bv_data_model():
     """The ``bv_model`` presentation with a nonzero BV operator on ``v``."""
     return LoopModel(

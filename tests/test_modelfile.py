@@ -72,6 +72,29 @@ def test_validation_error_carries_c0_line():
     assert line == 10 and "degree -4" in msg
 
 
+def test_odd_self_bracket_with_bv_data_is_located():
+    text = "\n".join(
+        [
+            "dim = 1",
+            "euler = 0",
+            "generator x deg = -1",
+            "generator g deg = 1",
+            "generator w deg = 3",
+            "relation 2 * w",
+            "c0 = x",
+            "delta g = 0",
+            "bracket [g,g] = w",
+        ]
+    )
+    with pytest.raises(ModelParseError) as exc:
+        parse_model(text)
+    assert exc.value.errors == [
+        (9, "self-bracket of odd generator 'g' must vanish with BV data, got w")
+    ]
+    # without BV data the 2-torsion self-bracket is allowed
+    parse_model(text.replace("delta g = 0", ""))
+
+
 def test_relation_with_unknown_generator_line():
     text = S4_TEXT + "relation 1 * q^2\n"
     with pytest.raises(ModelParseError) as exc:
