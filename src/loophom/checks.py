@@ -6,7 +6,7 @@ and a seeded stream of random elements, and returns a deterministic
 report: same model, window and seed always give byte-identical output.
 
 ``DenseOracle`` recomputes products from the raw presentation by direct
-exponent-vector arithmetic (bubble-sorted letter sequences for signs,
+exponent-vector arithmetic (counted odd-odd inversions for signs,
 relation scans for moduli).  It shares no code with the normal-form
 engine, so agreement between the two is meaningful evidence.
 """
@@ -17,6 +17,7 @@ import itertools
 import json
 import random
 from math import gcd
+from operator import add, le, mul
 from typing import Callable
 
 from .algebra import Element, LoopModel, Monomial, Record
@@ -115,9 +116,8 @@ class DenseOracle:
 
     Basis enumeration scans plain exponent boxes, moduli come from a
     direct divisibility scan over the relation list (plus this class's
-    own square-kill rule for odd generators), and product signs come from
-    bubble-sorting the concatenated letter sequence while counting
-    odd-odd swaps.
+    own square-kill rule for odd generators), and product signs count
+    the odd-odd inversions between the two exponent vectors.
     """
 
     def __init__(self, model: LoopModel, max_abs_degree: int):
@@ -156,63 +156,43 @@ class DenseOracle:
         return (self.window + neg_room) // d
 
     def _enumerate(self) -> dict[int, list[tuple[int, ...]]]:
-        bounds = [self._bound(i) for i in range(len(self.degrees))]
+        # product() runs in lexicographic order, so each degree's list is sorted
+        bounds = [range(self._bound(i) + 1) for i in range(len(self.degrees))]
         out: dict[int, list[tuple[int, ...]]] = {}
-        vec = [0] * len(bounds)
-
-        def rec(i: int):
-            if i == len(bounds):
-                deg = sum(e * d for e, d in zip(vec, self.degrees))
-                if abs(deg) <= self.window and self.modulus(vec) != 1:
-                    out.setdefault(deg, []).append(tuple(vec))
-                return
-            for e in range(bounds[i] + 1):
-                vec[i] = e
-                rec(i + 1)
-            vec[i] = 0
-
-        rec(0)
-        for deg in out:
-            out[deg].sort()
+        for exps in itertools.product(*bounds):
+            deg = sum(map(mul, exps, self.degrees))
+            if abs(deg) <= self.window and self.modulus(exps) != 1:
+                out.setdefault(deg, []).append(exps)
         return out
 
     def modulus(self, exps) -> int:
         mod = 0
         for k, rexps in self.relations:
-            if all(re <= e for re, e in zip(rexps, exps)):
+            if all(map(le, rexps, exps)):
                 mod = gcd(mod, k)
         return mod
 
-    def _letters(self, exps) -> list[int]:
-        word = []
-        for i, e in enumerate(exps):
-            word.extend([i] * e)
-        return word
-
     def sign(self, exps1, exps2) -> int:
-        word = self._letters(exps1) + self._letters(exps2)
-        sign = 1
-        for i in range(len(word)):
-            for j in range(len(word) - 1 - i):
-                if word[j] > word[j + 1]:
-                    if self.odd[word[j]] and self.odd[word[j + 1]]:
-                        sign = -sign
-                    word[j], word[j + 1] = word[j + 1], word[j]
-        return sign
+        # sorting the letter word of exps1 followed by that of exps2 swaps
+        # exactly the letter pairs (i from exps1, j from exps2) with i > j,
+        # as each half is already sorted; count the odd-odd ones
+        swaps = odd_before = 0
+        for odd, e1, e2 in zip(self.odd, exps1, exps2):
+            if odd:
+                swaps += e1 * odd_before
+                odd_before += e2
+        return -1 if swaps % 2 else 1
 
     def multiply(self, exps1, exps2) -> tuple[int, tuple[int, ...]] | None:
         """Canonical (coefficient, exponents) of the product of two basis
         monomials, or None when it dies."""
-        combined = tuple(a + b for a, b in zip(exps1, exps2))
+        combined = tuple(map(add, exps1, exps2))
         mod = self.modulus(combined)
         if mod == 1:
             return None
+        # a sign of +-1 is a unit, so it survives any modulus >= 2
         coeff = self.sign(exps1, exps2)
-        if mod:
-            coeff %= mod
-        if coeff == 0:
-            return None
-        return coeff, combined
+        return (coeff % mod if mod else coeff), combined
 
     def reduce(self, raw_terms) -> dict[tuple[int, ...], int]:
         """Canonical form of a list of (coefficient, exponent-vector)."""

@@ -8,6 +8,8 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import pytest
+
 from loophom import cli
 
 S4_TEXT = """\
@@ -76,6 +78,64 @@ def test_eval_json():
     assert payload["kind"] == "tensor"
     assert payload["value"] == "3*(c^2 (x) c^2)"
     assert payload["terms"] == [{"coefficient": 3, "factors": ["c^2", "c^2"]}]
+
+
+def test_eval_json_element():
+    out = run_cli("eval", "--model", "sphere:4", "--json", "3*a*v + v")
+    assert (out.returncode, out.stderr) == (0, "")
+    assert json.loads(out.stdout) == {
+        "expr": "3*a*v + v",
+        "kind": "element",
+        "model": "sphere:4",
+        "terms": [
+            {"coefficient": 1, "modulus": 0, "monomial": "v"},
+            {"coefficient": 1, "modulus": 2, "monomial": "a*v"},
+        ],
+        "value": "v + a*v",
+    }
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (
+            ["eval", "--model", "sphere:4", "psi(1) + (a (x) a (x) a)"],
+            "cannot add tensors of arity 2 and 3",
+        ),
+        (["eval", "--model", "sphere:4", "psi(1)*psi(1)"], "cannot multiply by an arity >= 2 tensor"),
+        (
+            ["eval", "--model", "sphere:4", "psi(1)^2"],
+            "power base must be a scalar element, got an arity-2 tensor",
+        ),
+        (
+            ["tqft", "--model", "sphere:4", "--genus", "0", "--in", "1", "--out", "1", "psi(1)"],
+            "surface inputs must be scalar elements",
+        ),
+        (
+            ["check", "--model", "sphere:4", "--window", "-1"],
+            "window must be a non-negative integer, got -1",
+        ),
+        (["eval", "--model", "sphere:1", "1"], "sphere:1 is not supported (need N >= 2)"),
+        (["eval", "--model", "cpn:0", "1"], "cpn:0 is not supported (need N >= 1)"),
+        (["eval", "--model", "cpn:x", "1"], "bad parameter in 'cpn:x': expected an integer"),
+        (["eval", "--model", "toy:bv1", "1"], "unknown toy model 'toy:bv1' (try toy:bv0)"),
+    ],
+    ids=[
+        "add-arities",
+        "tensor-product",
+        "tensor-power",
+        "tqft-tensor-input",
+        "negative-window",
+        "sphere-1",
+        "cpn-0",
+        "cpn-x",
+        "toy-bv1",
+    ],
+)
+def test_error_paths_exit_two_with_one_line(argv, error):
+    out = run_cli(*argv)
+    assert (out.returncode, out.stdout) == (2, "")
+    assert out.stderr == f"loophom: error: {error}\n"
 
 
 def test_eval_parse_error_exits_two():

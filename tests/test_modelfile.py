@@ -95,6 +95,34 @@ def test_odd_self_bracket_with_bv_data_is_located():
     parse_model(text.replace("delta g = 0", ""))
 
 
+_ODD_SELF_BRACKET_TEXT = """\
+dim = 1
+euler = 0
+generator x deg = -1
+generator g deg = 1
+generator w deg = 3
+c0 = x
+bracket [g,g] = w
+"""
+_A4_TEXT = "dim = 4\neuler = 2\ngenerator a deg = -4\nrelation 1 * a^2\nc0 = a\n"
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        (_ODD_SELF_BRACKET_TEXT, "line 7: self-bracket of odd generator 'g' must be 2-torsion"),
+        (_A4_TEXT.replace("c0 = a", "c0 = a (x) a"), "line 5: tensor values are not allowed here"),
+        (_A4_TEXT.replace("c0 = a", "c0 = mu(0,1,1; a)"), "line 5: mu(...) is not allowed here"),
+    ],
+    ids=["odd-self-bracket", "tensor-value", "mu-value"],
+)
+def test_value_diagnostic_text(text, error):
+    parse_model(_A4_TEXT)  # valid: only the replaced line is at fault
+    with pytest.raises(ModelParseError) as exc:
+        parse_model(text)
+    assert str(exc.value) == error
+
+
 def test_relation_with_unknown_generator_line():
     text = S4_TEXT + "relation 1 * q^2\n"
     with pytest.raises(ModelParseError) as exc:
