@@ -145,6 +145,13 @@ def _tokenize(text: str) -> list[tuple[str, int]]:
 # -- parser --------------------------------------------------------------------
 
 
+#: Most parentheses and calls an expression may nest.  Parsing and
+#: evaluating recurse once per level, so this keeps both well inside
+#: Python's recursion limit; deeper input is refused at the column of the
+#: token that opens level ``MAX_NESTING + 1``.
+MAX_NESTING = 150
+
+
 class _Parser:
     """Recursive descent over token text: ``(x)`` is the tensor sign, text
     starting with a digit an integer, with a letter or ``_`` a name, and
@@ -154,6 +161,7 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.names = names
+        self.depth = 0  # parentheses and calls open at the current token
 
     def peek(self) -> str:
         return self.tokens[self.pos][0]
@@ -206,35 +214,38 @@ class _Parser:
             node = BinOp("*", node, self.power())
         return node
 
-    def power(self) -> ExprAst:
-        node = self.atom()
-        if self.at("^"):
-            self.next()
-            node = Pow(node, self.int_literal("exponent must be a non-negative integer literal"))
-        return node
-
     def int_literal(self, message: str = "expected an integer") -> int:
         if not self.peek()[:1].isdecimal():
             self.fail(message)
         return int(self.next())
 
-    def atom(self) -> ExprAst:
+    def power(self) -> ExprAst:
+        """An atom and its optional exponent, in one frame, so that each
+        level of nesting costs the stack as little as it can."""
         text = self.peek()
         if text[:1].isdecimal():
-            return Lit(int(self.next()))
-        if text == "(":
-            self.next()
-            node = self.tensor()
-            self.expect(")")
-            return node
-        if text[:1].isalpha() or text[:1] == "_":
-            if text in RESERVED_NAMES:
-                return self.call()
+            node = Lit(int(self.next()))
+        elif text == "(" or text in RESERVED_NAMES:
+            if self.depth == MAX_NESTING:
+                self.fail(f"more than {MAX_NESTING} nested parentheses and calls")
+            self.depth += 1
+            if text == "(":
+                self.next()
+                node = self.tensor()
+                self.expect(")")
+            else:
+                node = self.call()
+            self.depth -= 1
+        elif text[:1].isalpha() or text[:1] == "_":
             if text not in self.names:
                 self.fail(f"unknown generator '{text}'")
+            node = Name(self.next())
+        else:
+            self.fail(f"expected a value, got '{text or 'end of input'}'")
+        if self.at("^"):
             self.next()
-            return Name(text)
-        self.fail(f"expected a value, got '{text or 'end of input'}'")
+            node = Pow(node, self.int_literal("exponent must be a non-negative integer literal"))
+        return node
 
     def call(self) -> ExprAst:
         func = self.next()
@@ -310,11 +321,20 @@ def _eval(model: LoopModel, ast: ExprAst, allow_calls: bool) -> Value:
     if isinstance(ast, Neg):
         return -_eval(model, ast.operand, allow_calls)
     if isinstance(ast, BinOp):
-        left = _eval(model, ast.left, allow_calls)
-        right = _eval(model, ast.right, allow_calls)
-        if ast.op == "*":
-            return _eval_mul(left, right)
-        return _eval_add(left, right, ast.op)
+        # fold the left-deep chain a op b op c ... in a loop, left to right,
+        # so a long flat sum or product does not grow the stack
+        chain = []
+        while isinstance(ast, BinOp):
+            chain.append(ast)
+            ast = ast.left
+        value = _eval(model, ast, allow_calls)
+        for node in reversed(chain):
+            right = _eval(model, node.right, allow_calls)
+            if node.op == "*":
+                value = _eval_mul(value, right)
+            else:
+                value = _eval_add(value, right, node.op)
+        return value
     if isinstance(ast, Pow):
         base = _eval(model, ast.base, allow_calls)
         if isinstance(base, TensorElement):

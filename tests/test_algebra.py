@@ -6,7 +6,7 @@ from math import gcd, log2
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from loophom import (
@@ -447,6 +447,10 @@ def basis_presentations(draw):
     for _ in range(draw(st.integers(0, 2))):
         mono = {name: draw(st.integers(0, 2)) for name in names}
         relations.append((draw(st.sampled_from([2, 3, 4, 6])), mono))
+    # c0 = c must not die: the relations on 1 and on c, the monomials that
+    # divide it, may not have coprime coefficients such as 2 and 3
+    divides_c = [k for k, mono in relations if all(e <= (n == "c") for n, e in mono.items())]
+    assume(gcd(*divides_c) != 1)
     presentation = dict(
         dim=dim,
         euler=0,

@@ -300,6 +300,27 @@ def test_law_that_raises_is_reported_as_error(monkeypatch, capsys):
     assert "ERROR coproduct-symmetry" in capsys.readouterr().out
 
 
+def test_law_that_raises_after_some_cases_is_reported_as_error(monkeypatch):
+    real_twist = checks.twist
+    calls = []
+
+    def twist_failing_on_third_call(t):
+        calls.append(t)
+        if len(calls) == 3:
+            raise RuntimeError("twist is broken")
+        return real_twist(t)
+
+    monkeypatch.setattr(checks, "twist", twist_failing_on_third_call)
+    report = run_checks(load_model("sphere:2"), max_abs_degree=4, seed=0)
+    result = next(r for r in report.results if r.law == "coproduct-symmetry")
+    assert (result.status, result.detail, result.witness) == (
+        "error",
+        "",
+        "RuntimeError: twist is broken",
+    )
+    assert len(calls) == 3
+
+
 def test_check_records_are_mutable_and_unhashable():
     report = CheckReport("m", 4, 0)
     report.results.append(CheckResult("law", "pass", "x"))
@@ -319,3 +340,107 @@ def test_check_records_are_mutable_and_unhashable():
     for record in (report, report.results[0]):
         with pytest.raises(TypeError, match="unhashable"):
             hash(record)
+
+
+# Two presentations whose details no built-in reaches: bracket data with
+# chi = 0, and brackets on a model that is not simply connected.
+BV_DATA_TEXT = """\
+dim = 3
+euler = 0
+generator a deg = -3 geometric
+generator v deg = 2
+c0 = a
+flag simply_connected
+delta a = 0
+delta v = 2*a*v^3
+bracket [a,v] = 1
+"""
+
+BV_DATA_REPORT = """\
+window: 6
+seed: 0
+PASS normal-form-idempotent (60 cases)
+PASS normal-form-order-independence (40 cases)
+PASS ring-unit-law (9 cases)
+PASS ring-associativity (423 cases)
+PASS ring-distributivity (80 cases)
+PASS graded-commutativity (81 cases)
+PASS mul-oracle-agreement (81 cases)
+PASS torsion-identity (9 cases; vanishes identically (chi = 0))
+PASS bracket-unit (9 cases)
+PASS bracket-antisymmetry (81 cases)
+PASS bracket-torsion (9 cases; vanishes identically (chi = 0))
+FAIL delta-squared (BV data is inconsistent) witness: delta(delta(a*v^2)) = -4*a*v^3 != 0
+PASS delta-bv-residual (25 cases)
+PASS coproduct-symmetry (9 cases; vanishes identically (chi = 0))
+PASS coproduct-forms-agree (9 cases; vanishes identically (chi = 0))
+PASS coproduct-concentration (9 cases; vanishes identically (chi = 0))
+PASS coproduct-frobenius (50 cases; vanishes identically (chi = 0))
+PASS coproduct-coassociativity (9 cases; vanishes identically (chi = 0))
+PASS coproduct-delta-factorwise (9 cases; vanishes identically (chi = 0))
+PASS coproduct-kills-geometric-brackets (9 cases; vanishes identically (chi = 0))
+PASS surface-closed-vs-pants (324 cases)
+PASS surface-functoriality (150 cases)
+PASS surface-degree-shift (162 cases)
+PASS surface-certificate-sew (60 cases)
+PASS model-round-trip (1 cases)
+result: FAIL (24 passed, 1 failed, 0 skipped)
+"""
+
+TOY_NOT_SIMPLY_CONNECTED_TEXT = """\
+dim = 2
+euler = 2
+generator y deg = -1 geometric
+generator z deg = -1 geometric
+c0 = y*z
+delta y = 0
+delta z = 0
+bracket [y,z] = 0
+"""
+
+TOY_NOT_SIMPLY_CONNECTED_REPORT = """\
+window: 6
+seed: 0
+PASS normal-form-idempotent (60 cases)
+PASS normal-form-order-independence (40 cases)
+PASS ring-unit-law (4 cases)
+PASS ring-associativity (144 cases)
+PASS ring-distributivity (80 cases)
+PASS graded-commutativity (16 cases)
+PASS mul-oracle-agreement (16 cases)
+PASS torsion-identity (4 cases)
+PASS bracket-unit (4 cases)
+PASS bracket-antisymmetry (16 cases)
+PASS bracket-torsion (1 cases)
+PASS delta-squared (4 cases)
+PASS delta-bv-residual (31 cases)
+PASS coproduct-symmetry (4 cases)
+PASS coproduct-forms-agree (4 cases)
+PASS coproduct-concentration (4 cases)
+PASS coproduct-frobenius (50 cases)
+PASS coproduct-coassociativity (4 cases)
+PASS coproduct-delta-factorwise (4 cases)
+PASS coproduct-kills-geometric-brackets (8 cases)
+PASS surface-closed-vs-pants (324 cases)
+PASS surface-functoriality (150 cases)
+PASS surface-degree-shift (162 cases)
+PASS surface-certificate-sew (60 cases)
+PASS model-round-trip (1 cases)
+result: PASS (25 passed, 0 failed, 0 skipped)
+"""
+
+
+@pytest.mark.parametrize(
+    "text, report, code",
+    [
+        (BV_DATA_TEXT, BV_DATA_REPORT, 1),
+        (TOY_NOT_SIMPLY_CONNECTED_TEXT, TOY_NOT_SIMPLY_CONNECTED_REPORT, 0),
+    ],
+    ids=["bv-data-chi-zero", "toy-bv0-not-simply-connected"],
+)
+def test_check_text_pinned_where_no_builtin_reaches(tmp_path, capsys, text, report, code):
+    path = tmp_path / "pinned.model"
+    path.write_text(text)
+    argv = ["check", "--model", str(path), "--window", "6", "--seed", "0"]
+    assert main(argv) == code
+    assert capsys.readouterr().out == f"model: {path}\n{report}"

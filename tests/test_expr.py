@@ -12,6 +12,7 @@ from loophom import (
     ExprError,
     ModelError,
     TensorElement,
+    cli,
     evaluate,
     load_model,
     parse_expr,
@@ -180,6 +181,43 @@ def test_arity_one_results_are_elements(s4):
 def test_reserved_name_without_call(s4):
     with pytest.raises(ExprError, match="expected '\\('"):
         parse_expr("psi + 1", s4)
+
+
+# -- long and deep input -------------------------------------------------------------
+
+
+def test_flat_chains_of_any_length_evaluate(s4, capsys):
+    text = " + ".join(["a"] * 3000)
+    assert str(run_expr(s4, text)) == "3000*a"
+    assert str(run_expr(s4, "*".join(["v"] * 3000))) == "v^3000"
+    assert cli.main(["eval", "--model", "sphere:4", text]) == 0
+    assert capsys.readouterr().out == "3000*a\n"
+
+
+def test_nesting_up_to_the_limit_evaluates(s4, toy):
+    assert str(run_expr(s4, "(" * 150 + "a" + ")" * 150)) == "a"
+    assert str(run_expr(toy, "delta(" * 150 + "y" + ")" * 150)) == "0"
+    assert str(run_expr(toy, "(bracket(y, " * 75 + "z" + "))" * 75)) == "0"
+
+
+@pytest.mark.parametrize(
+    "model, opening, atom, column",
+    [("s4", "(", "a", 151), ("toy", "delta(", "y", 901), ("toy", "(bracket(y, ", "z", 901)],
+)
+def test_nesting_past_the_limit_is_located(request, model, opening, atom, column):
+    model = request.getfixturevalue(model)
+    for depth in (151, 300):
+        text = opening * depth + atom + ")" * (depth * opening.count("("))
+        with pytest.raises(ExprError, match=rf"^more than 150 nested .* \(column {column}\)$"):
+            parse_expr(text, model)
+
+
+def test_eval_exits_two_past_the_nesting_limit(capsys):
+    argv = ["eval", "--model", "sphere:4", "(" * 300 + "a" + ")" * 300]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == (
+        "loophom: error: more than 150 nested parentheses and calls (column 151)\n"
+    )
 
 
 # -- print/reparse/re-evaluate -----------------------------------------------------

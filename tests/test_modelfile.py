@@ -41,6 +41,12 @@ def test_parse_sphere_text():
     assert psi(m, m.unit()) == tensor_scale(2, tensor([a, a]))
 
 
+def test_long_flat_sum_in_a_value_loads():
+    sum_text = " + ".join(["a"] + ["0"] * 2999)
+    doc = parse_model(S4_TEXT.replace("c0 = a", f"c0 = {sum_text}"))
+    assert doc.model.c0 == doc.model.gen("a")
+
+
 def test_missing_c0_reported():
     text = "\n".join(l for l in S4_TEXT.splitlines() if not l.startswith("c0"))
     with pytest.raises(ModelParseError) as exc:
