@@ -328,19 +328,36 @@ def _check_ring_unit(ctx: _Ctx) -> Iterator[None]:
 
 @_law("ring-associativity")
 def _check_ring_associativity(ctx: _Ctx) -> Iterator[None]:
+    """Exhaustive over the ``|deg| <= 4`` monomials, then random elements.
+
+    Skip rule: every product of two sub-window monomials is computed once,
+    into one table that serves both ``x*y`` and ``y*z``.  Where ``x*y = 0``
+    only the ``z`` with ``y*z != 0`` are multiplied; the other triples of
+    that row are counted without any product.  Proof that nothing is
+    lost: ``LoopModel.mul`` returns zero when an operand is zero, so for
+    such a triple ``(x*y)*z = 0*z = 0`` and ``x*(y*z) = x*0 = 0``, and
+    it passes.  A triple that is skipped therefore cannot fail, and the
+    triples that are checked keep the ``x, y, z`` order of a plain triple
+    loop, so the first failing triple, and the witness, are the same.
+    """
     model, rng = ctx.model, ctx.rng()
-    # exhaustive over a small sub-window of monomials, then random elements;
-    # every x*y and y*z is computed once, and the triples keep the x, y, z
-    # order of a plain triple loop, so the first failing triple is the same
     small = [x for d, _, x in ctx.basis if abs(d) <= 4]
-    yz_table = [[model.mul(y, z) for z in small] for y in small]
-    for x in small:
-        for y, yz_row in zip(small, yz_table):
-            xy = model.mul(x, y)
-            for z, yz in zip(small, yz_row):
-                if model.mul(xy, z) != model.mul(x, yz):
+    table = [[model.mul(x, y) for y in small] for x in small]
+    # per y, the z with y*z != 0, paired with that product
+    live = [[(z, yz) for z, yz in zip(small, row) if yz] for row in table]
+    for x, xy_row in zip(small, table):
+        for y, xy, yz_row, yz_live in zip(small, xy_row, table, live):
+            if xy:
+                for z, yz in zip(small, yz_row):
+                    if model.mul(xy, z) != model.mul(x, yz):
+                        raise _Fail(f"({x})*({y})*({z})")
+                    yield
+                continue
+            for z, yz in yz_live:
+                if model.mul(x, yz):
                     raise _Fail(f"({x})*({y})*({z})")
                 yield
+            yield from itertools.repeat(None, len(small) - len(yz_live))
     for _ in range(80):
         x, y, z = (ctx.random_element(rng, max_terms=2) for _ in range(3))
         if model.mul(model.mul(x, y), z) != model.mul(x, model.mul(y, z)):
@@ -358,15 +375,39 @@ def _check_ring_distributivity(ctx: _Ctx) -> Iterator[None]:
         yield
 
 
+def _unordered_pairs(items):
+    """``(a, b, orders)`` for each pair ``a = items[i]``, ``b = items[j]``
+    with ``i <= j``, in the order of a plain double loop; ``orders`` holds
+    one ``None`` per ordered pair it stands for (one on the diagonal,
+    two off it).
+
+    For a law ``f(a, b) == s * f(b, a)`` with a sign ``s = +-1`` that is
+    symmetric in ``a`` and ``b``, the ordered pair ``(a, b)`` fails
+    exactly when ``(b, a)`` does: multiply both sides by ``s``.  So the
+    first failing pair of the plain double loop has ``i <= j`` (if
+    ``(j, i)`` with ``j > i`` failed, ``(i, j)`` came before it and failed
+    too), and it is the first failing pair of this sweep: the witness is
+    the same.
+    """
+    for i, a in enumerate(items):
+        yield a, a, (None,)
+        for b in items[i + 1 :]:
+            yield a, b, (None, None)
+
+
 @_law("graded-commutativity")
 def _check_graded_commutativity(ctx: _Ctx) -> Iterator[None]:
+    """``x*y = (-1)^(|x||y|) y*x`` on every ordered pair of basis monomials.
+
+    Skip rule: each unordered pair is checked once and counted in both
+    orders (see :func:`_unordered_pairs` for the proof).
+    """
     model = ctx.model
-    for d1, m1, x in ctx.basis:
-        for d2, m2, y in ctx.basis:
-            sign = -1 if (d1 * d2) % 2 else 1
-            if model.mul(x, y) != model.mul(y, x).scaled(sign):
-                raise _Fail(f"{ctx.fmt(m1)} * {ctx.fmt(m2)}")
-            yield
+    for (d1, m1, x), (d2, m2, y), orders in _unordered_pairs(ctx.basis):
+        sign = -1 if (d1 * d2) % 2 else 1
+        if model.mul(x, y) != model.mul(y, x).scaled(sign):
+            raise _Fail(f"{ctx.fmt(m1)} * {ctx.fmt(m2)}")
+        yield from orders
 
 
 @_law("mul-oracle-agreement")
@@ -415,13 +456,15 @@ def _check_bracket_unit(ctx: _Ctx) -> Iterator[None]:
 
 @_law("bracket-antisymmetry", needs=("bracket",))
 def _check_bracket_antisymmetry(ctx: _Ctx) -> Iterator[None]:
+    """``{x, y} = -(-1)^((|x|+1)(|y|+1)) {y, x}`` on every ordered pair of
+    basis monomials; each unordered pair is checked once and counted in
+    both orders (see :func:`_unordered_pairs`)."""
     model = ctx.model
-    for d1, m1, x in ctx.basis:
-        for d2, m2, y in ctx.basis:
-            sign = 1 if ((d1 + 1) * (d2 + 1)) % 2 else -1
-            if model.bracket(x, y) != model.bracket(y, x).scaled(sign):
-                raise _Fail(f"bracket({ctx.fmt(m1)}, {ctx.fmt(m2)})")
-            yield
+    for (d1, m1, x), (d2, m2, y), orders in _unordered_pairs(ctx.basis):
+        sign = 1 if ((d1 + 1) * (d2 + 1)) % 2 else -1
+        if model.bracket(x, y) != model.bracket(y, x).scaled(sign):
+            raise _Fail(f"bracket({ctx.fmt(m1)}, {ctx.fmt(m2)})")
+        yield from orders
 
 
 @_law("bracket-torsion", needs=("bracket",), chi_tag=True)

@@ -182,11 +182,37 @@ def _plain_associativity_witness(model, window):
     return None
 
 
+def _corrupt_products(monkeypatch, model, name, pairs):
+    # model.<name>(left, right) gains the unit for each (left, right) in
+    # pairs; every other call is exact
+    real = getattr(model, name)
+
+    def corrupted(a, b):
+        out = real(a, b)
+        if any(a == left and b == right for left, right in pairs):
+            return out + model.unit()
+        return out
+
+    monkeypatch.setattr(model, name, corrupted)
+
+
 @pytest.mark.parametrize(
     "triples, witness",
     [
-        ([("t", "x", "y")], "(t)*(x)*(y)"),
-        ([("t", "x", "y"), ("y", "x", "t"), ("t", "y", "x")], "(t)*(y)*(x)"),
+        # each entry lists corrupted products (left, right), and each of
+        # them breaks one triple: for odd generators p after q in
+        # declaration order, p*q = -q*p is the only product of two
+        # coefficient-1 monomials with that value, so corrupting (p*q)*r
+        # breaks exactly the triple (p, q, r)
+        ([(("t", "x"), "y")], "(t)*(x)*(y)"),
+        (
+            [(("t", "x"), "y"), (("y", "x"), "t"), (("t", "y"), "x")],
+            "(t)*(y)*(x)",
+        ),
+        # t*(t*x) breaks only (t, t, x), a triple with x*y = t*t = 0 and
+        # y*z = t*x != 0: a sweep that skipped every row with x*y = 0
+        # would pass it
+        ([("t", ("t", "x"))], "(t)*(t)*(x)"),
     ],
 )
 def test_associativity_reports_the_first_corrupted_triple(
@@ -194,26 +220,63 @@ def test_associativity_reports_the_first_corrupted_triple(
 ):
     model = odd_interleaved
     real_mul = model.mul
-    # for odd generators p after q in declaration order, p*q = -q*p is the
-    # only product of two coefficient-1 monomials with that value, so
-    # corrupting (p*q)*r breaks exactly the triple (p, q, r)
-    bad = [
-        (real_mul(model.gen(p), model.gen(q)), model.gen(r)) for p, q, r in triples
-    ]
-    assert all(left.terms and -1 in left.terms.values() for left, _ in bad)
 
-    def corrupted_mul(a, b):
-        out = real_mul(a, b)
-        if any(a == left and b == right for left, right in bad):
-            return model.add(out, model.unit())
-        return out
+    def operand(spec):
+        # a generator name, or a pair of names standing for their product
+        if isinstance(spec, str):
+            return model.gen(spec)
+        return real_mul(model.gen(spec[0]), model.gen(spec[1]))
 
-    monkeypatch.setattr(model, "mul", corrupted_mul)
+    bad = [(operand(left), operand(right)) for left, right in triples]
+    assert all(left and right for left, right in bad)
+    _corrupt_products(monkeypatch, model, "mul", bad)
     report = run_checks(model, max_abs_degree=1, seed=0)
     result = next(r for r in report.results if r.law == "ring-associativity")
     assert result.status == "fail"
     assert result.witness == witness
     assert result.witness == _plain_associativity_witness(model, 1)
+
+
+def _plain_pair_witness(model, window, op, sign):
+    # a pair law as a plain ordered double loop over the basis window
+    basis = [(d, model.mono_elem(m)) for d, m, _ in model.basis_window(window)]
+    for d1, x in basis:
+        for d2, y in basis:
+            if op(x, y) != op(y, x).scaled(sign(d1, d2)):
+                return x, y
+    return None
+
+
+@pytest.mark.parametrize(
+    "fixture, op, law, window, sign, earlier, later, witness",
+    [
+        # t sorts before x in the basis: same degree, smaller exponent tuple
+        (
+            "odd_interleaved", "mul", "graded-commutativity", 1,
+            lambda d1, d2: -1 if (d1 * d2) % 2 else 1,
+            "t", "x", "t * x",
+        ),
+        # a (degree -3) sorts before v (degree 2)
+        (
+            "bv_model", "bracket", "bracket-antisymmetry", 4,
+            lambda d1, d2: 1 if ((d1 + 1) * (d2 + 1)) % 2 else -1,
+            "a", "v", "bracket(a, v)",
+        ),
+    ],
+    ids=["graded-commutativity", "bracket-antisymmetry"],
+)
+def test_pair_laws_report_the_earlier_ordered_pair(
+    request, monkeypatch, fixture, op, law, window, sign, earlier, later, witness
+):
+    # corrupt only op(later, earlier); a plain double loop meets the pair
+    # first as (earlier, later), so that is the witness
+    model = request.getfixturevalue(fixture)
+    p, q = model.gen(earlier), model.gen(later)
+    _corrupt_products(monkeypatch, model, op, [(q, p)])
+    report = run_checks(model, max_abs_degree=window, seed=0)
+    result = next(r for r in report.results if r.law == law)
+    assert (result.status, result.witness) == ("fail", witness)
+    assert _plain_pair_witness(model, window, getattr(model, op), sign) == (p, q)
 
 
 def test_case_counts_on_builtins_at_window_24():
