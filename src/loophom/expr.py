@@ -215,16 +215,22 @@ class _Parser:
         return node
 
     def int_literal(self, message: str = "expected an integer") -> int:
-        if not self.peek()[:1].isdecimal():
+        text = self.peek()
+        if not text[:1].isdecimal():
             self.fail(message)
-        return int(self.next())
+        try:
+            value = int(text)
+        except ValueError:  # more digits than Python converts
+            self.fail(f"integer literal of {len(text)} digits is too long")
+        self.pos += 1
+        return value
 
     def power(self) -> ExprAst:
         """An atom and its optional exponent, in one frame, so that each
         level of nesting costs the stack as little as it can."""
         text = self.peek()
         if text[:1].isdecimal():
-            node = Lit(int(self.next()))
+            node = Lit(self.int_literal())
         elif text == "(" or text in RESERVED_NAMES:
             if self.depth == MAX_NESTING:
                 self.fail(f"more than {MAX_NESTING} nested parentheses and calls")

@@ -63,6 +63,15 @@ _BRACKET_RE = re.compile(r"^bracket\s*\[\s*(\w+)\s*,\s*(\w+)\s*\]\s*=\s*(.+)\Z")
 _FACTOR_RE = re.compile(r"^(\w+)(?:\^(\d+))?\Z")
 
 
+def _int(text: str) -> int:
+    """``int(text)``, or a ValueError naming the digit count when ``text``
+    has more digits than Python converts."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"integer literal of {len(text.lstrip('-'))} digits is too long") from None
+
+
 def _parse_monomial_text(text: str) -> dict[str, int]:
     exps: dict[str, int] = {}
     for factor in text.split("*"):
@@ -73,7 +82,7 @@ def _parse_monomial_text(text: str) -> dict[str, int]:
         if not m:
             raise ValueError(f"bad monomial factor {factor!r}")
         name, power = m.group(1), m.group(2)
-        exps[name] = exps.get(name, 0) + (int(power) if power else 1)
+        exps[name] = exps.get(name, 0) + (_int(power) if power else 1)
     return exps
 
 
@@ -105,51 +114,50 @@ def parse_model(text: str, provenance: str = "<string>") -> ModelDoc:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if m := _DIM_RE.match(line):
-            key, value = m.group(1), int(m.group(2))
-            if claim((key,), f"'{key}'"):
-                if key == "dim":
-                    dim = value
-                else:
-                    euler = value
-        elif m := _GEN_RE.match(line):
-            name = m.group(1)
-            if claim(("generator", name), f"generator '{name}'", "first declared on"):
-                gens.append(GeneratorSpec(name, int(m.group(2)), bool(m.group(3))))
-        elif m := _REL_RE.match(line):
-            coeff = int(m.group(1))
-            if coeff < 1:
-                errors.append((lineno, f"relation coefficient must be positive, got {coeff}"))
-                continue
-            try:
+        try:
+            if m := _DIM_RE.match(line):
+                key = m.group(1)
+                if claim((key,), f"'{key}'"):
+                    if key == "dim":
+                        dim = _int(m.group(2))
+                    else:
+                        euler = _int(m.group(2))
+            elif m := _GEN_RE.match(line):
+                name = m.group(1)
+                if claim(("generator", name), f"generator '{name}'", "first declared on"):
+                    gens.append(GeneratorSpec(name, _int(m.group(2)), bool(m.group(3))))
+            elif m := _REL_RE.match(line):
+                coeff = _int(m.group(1))
+                if coeff < 1:
+                    raise ValueError(f"relation coefficient must be positive, got {coeff}")
                 rels.append((coeff, _parse_monomial_text(m.group(2))))
-            except ValueError as exc:
-                errors.append((lineno, str(exc)))
-                continue
-            lines[("relation", len(rels))] = lineno
-        elif m := _C0_RE.match(line):
-            if claim(("c0",), "'c0'"):
-                c0 = m.group(1)
-        elif m := _FLAG_RE.match(line):
-            if m.group(1) != "simply_connected":
-                errors.append((lineno, f"unknown flag '{m.group(1)}'"))
+                lines[("relation", len(rels))] = lineno
+            elif m := _C0_RE.match(line):
+                if claim(("c0",), "'c0'"):
+                    c0 = m.group(1)
+            elif m := _FLAG_RE.match(line):
+                if m.group(1) != "simply_connected":
+                    errors.append((lineno, f"unknown flag '{m.group(1)}'"))
+                else:
+                    claim(("flag",), "flag")
+            elif m := _DELTA_RE.match(line):
+                name = m.group(1)
+                if claim(("delta", name), f"delta for '{name}'"):
+                    deltas[name] = m.group(2)
+                    lines.setdefault(("delta",), lineno)
+            elif m := _BRACKET_RE.match(line):
+                g1, g2 = m.group(1), m.group(2)
+                if claim(("bracket", g1, g2), f"bracket for [{g1},{g2}]"):
+                    brackets[(g1, g2)] = m.group(3)
             else:
-                claim(("flag",), "flag")
-        elif m := _DELTA_RE.match(line):
-            name = m.group(1)
-            if claim(("delta", name), f"delta for '{name}'"):
-                deltas[name] = m.group(2)
-                lines.setdefault(("delta",), lineno)
-        elif m := _BRACKET_RE.match(line):
-            g1, g2 = m.group(1), m.group(2)
-            if claim(("bracket", g1, g2), f"bracket for [{g1},{g2}]"):
-                brackets[(g1, g2)] = m.group(3)
-        else:
-            errors.append((lineno, f"unrecognized statement: {line!r}"))
+                errors.append((lineno, f"unrecognized statement: {line!r}"))
+        except ValueError as exc:
+            errors.append((lineno, str(exc)))
 
-    if dim is None:
+    # a dim or euler line whose value failed has its error already
+    if ("dim",) not in lines:
         errors.append((None, "dim required"))
-    if euler is None:
+    if ("euler",) not in lines:
         errors.append((None, "euler required"))
     if c0 is None:
         errors.append((None, "c0 required"))

@@ -1,5 +1,4 @@
 import pytest
-from hypothesis import strategies as st
 
 from loophom import LoopModel, projective_space, sphere, toy_bv0
 
@@ -81,13 +80,3 @@ def corrupted_s4():
         c0={"a": 1},
     )
 
-
-def window_monomials(model, window):
-    return [m for _, m, _ in model.basis_window(window)]
-
-
-def elements(model, window=6, max_terms=3, max_coeff=5):
-    """Hypothesis strategy for random elements of a model."""
-    basis = window_monomials(model, window)
-    pair = st.tuples(st.integers(-max_coeff, max_coeff), st.sampled_from(basis))
-    return st.lists(pair, max_size=max_terms).map(model.normal_form)

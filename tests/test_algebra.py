@@ -6,7 +6,7 @@ from math import gcd, log2
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from loophom import (
@@ -20,7 +20,7 @@ from loophom import (
     validate_model,
 )
 
-from conftest import elements, window_monomials
+from strategies import elements, models, window_monomials
 
 
 # -- validation ----------------------------------------------------------------
@@ -426,60 +426,21 @@ def test_basis_matches_brute_enumeration_to_degree_24(cp2):
             )
 
 
-@st.composite
-def basis_presentations(draw):
-    """Random presentations for basis enumeration, with a window: a
-    constant-loop generator ``c``, one or two nilpotent non-positive
-    generators (degree 0 included), two or three positive ones, some capped
-    by a pure-power relation, and torsion relations, declared in a drawn
-    order."""
-    dim = draw(st.integers(1, 2))
-    gens = [("c", -dim)]
-    relations = [(1, {"c": 2})]
-    for i, d in enumerate(draw(st.lists(st.integers(-3, 0), min_size=1, max_size=2))):
-        gens.append((f"n{i}", d))
-        relations.append((1, {f"n{i}": draw(st.integers(1, 3))}))
-    for i, d in enumerate(draw(st.lists(st.integers(1, 5), min_size=2, max_size=3))):
-        gens.append((f"p{i}", d))
-        if draw(st.booleans()):
-            relations.append((1, {f"p{i}": draw(st.integers(1, 3))}))
-    names = [name for name, _ in gens]
-    for _ in range(draw(st.integers(0, 2))):
-        mono = {name: draw(st.integers(0, 2)) for name in names}
-        relations.append((draw(st.sampled_from([2, 3, 4, 6])), mono))
-    # c0 = c must not die: the relations on 1 and on c, the monomials that
-    # divide it, may not have coprime coefficients such as 2 and 3
-    divides_c = [k for k, mono in relations if all(e <= (n == "c") for n, e in mono.items())]
-    assume(gcd(*divides_c) != 1)
-    presentation = dict(
-        dim=dim,
-        euler=0,
-        generators=draw(st.permutations(gens)),
-        relations=relations,
-        c0={"c": 1},
-    )
-    return presentation, draw(st.integers(0, 6))
-
-
 @settings(max_examples=60, deadline=None)
-@given(basis_presentations())
+@given(models(), st.integers(0, 6))
 @example(
     # a degree-0 generator, the capped positive u, and a non-positive part
     # reaching degree -5 past the window
-    (
-        dict(
-            dim=4,
-            euler=0,
-            generators=[("b", -1), ("z", 0), ("a", -4), ("u", 2), ("w", 3), ("v", 6)],
-            relations=[(1, {"z": 2}), (1, {"a": 2}), (1, {"u": 3}), (2, {"a": 1, "v": 1})],
-            c0={"a": 1},
-        ),
-        3,
-    )
+    LoopModel(
+        dim=4,
+        euler=0,
+        generators=[("b", -1), ("z", 0), ("a", -4), ("u", 2), ("w", 3), ("v", 6)],
+        relations=[(1, {"z": 2}), (1, {"a": 2}), (1, {"u": 3}), (2, {"a": 1, "v": 1})],
+        c0={"a": 1},
+    ),
+    3,
 )
-def test_basis_window_is_the_single_degrees_in_order(case):
-    presentation, window = case
-    model = LoopModel(**presentation)
+def test_basis_window_is_the_single_degrees_in_order(model, window):
     got = model.basis_window(window)
     assert got == [
         (d, m, mod) for d in range(-window, window + 1) for m, mod in model.enumerate_basis(d)

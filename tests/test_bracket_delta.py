@@ -4,10 +4,12 @@ import json
 from pathlib import Path
 
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from loophom import LoopModel, ModelError, evaluate, parse_expr
+
+from strategies import models
 
 BV_POWERS = Path(__file__).parent / "data" / "bv_powers.json"
 
@@ -341,60 +343,6 @@ def test_clear_caches_empties_them_and_keeps_values():
 # -- closed forms against a word-level Leibniz expansion ---------------------------
 
 
-@st.composite
-def presentations(draw):
-    """Random valid presentations: odd and even generators, nilpotent
-    non-positive ones, torsion relations, and nonzero bracket (even
-    self-brackets included) and BV data.  The last generator ``c`` is the
-    constant-loop class, so its BV value stays unset.  Draws whose bracket
-    or BV values do not vanish on a relation are rejected."""
-    dim = draw(st.integers(1, 4))
-    degrees = draw(st.lists(st.integers(-4, 4), min_size=1, max_size=3)) + [-dim]
-    names = [f"g{i}" for i in range(len(degrees) - 1)] + ["c"]
-    relations = [
-        (1, {name: draw(st.integers(2, 4))})
-        for name, d in zip(names, degrees)
-        if d <= 0 and d % 2 == 0
-    ]
-    for _ in range(draw(st.integers(0, 2))):
-        mono = {name: draw(st.integers(0, 2)) for name in names}
-        if any(mono.values()):
-            relations.append((draw(st.sampled_from([2, 3, 4, 6])), mono))
-
-    def value(want):
-        # a combination of basis monomials of degree ``want``, picked by
-        # position once the model's basis is known
-        coeffs = st.sampled_from([-3, -2, -1, 1, 2, 3])
-        picks = draw(st.lists(st.tuples(coeffs, st.integers(0, 99)), min_size=1, max_size=3))
-
-        def build(model):
-            basis = model.enumerate_basis(want)
-            return model.normal_form([(c, basis[k % len(basis)][0]) for c, k in picks if basis])
-
-        return build
-
-    # every pair gets a value; it is zero when no monomial has its degree
-    bracket = {}
-    for i, (gi, di) in enumerate(zip(names, degrees)):
-        for gj, dj in zip(names[i:], degrees[i:]):
-            if gi != gj or di % 2 == 0:
-                key = (gi, gj) if draw(st.booleans()) else (gj, gi)
-                bracket[key] = value(di + dj + 1)
-    delta = {name: value(d + 1) for name, d in zip(names[:-1], degrees) if draw(st.booleans())}
-    try:
-        return LoopModel(
-            dim=dim,
-            euler=0,
-            generators=list(zip(names, degrees)),
-            relations=relations,
-            c0={"c": 1},
-            delta=delta,
-            bracket=bracket,
-        )
-    except ModelError:
-        reject()
-
-
 def _word(m):
     """The letters of a monomial in declaration order, as generator indices."""
     return [i for i, e in enumerate(m) for _ in range(e)]
@@ -457,7 +405,7 @@ def _word_ops(model):
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_closed_forms_match_the_word_level_leibniz_expansion(data):
-    model = data.draw(presentations())
+    model = data.draw(models())
     word_bracket, word_delta = _word_ops(model)
 
     def monomials():

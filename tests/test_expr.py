@@ -96,6 +96,23 @@ def test_non_decimal_digits_are_located(s4):
     assert run_expr(s4, "v^\u0663") == s4.gen("v") ** 3
 
 
+@pytest.mark.parametrize(
+    "text, column", [("1" * 5000, 1), ("v^" + "9" * 5000, 3), ("mu(0," + "1" * 5000 + ",1;a)", 6)]
+)
+def test_over_long_integer_literal_is_located(s4, text, column):
+    # more digits than Python converts to an int
+    with pytest.raises(ExprError) as exc:
+        parse_expr(text, s4)
+    assert str(exc.value) == f"integer literal of 5000 digits is too long (column {column})"
+
+
+def test_eval_exits_two_on_an_over_long_literal(capsys):
+    assert cli.main(["eval", "--model", "sphere:4", "1" * 5000]) == 2
+    assert capsys.readouterr().err == (
+        "loophom: error: integer literal of 5000 digits is too long (column 1)\n"
+    )
+
+
 def test_trailing_garbage_rejected(s4):
     with pytest.raises(ExprError, match="trailing"):
         parse_expr("a v", s4)

@@ -5,6 +5,7 @@ import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
 from loophom import (
     ModelDoc,
@@ -13,9 +14,12 @@ from loophom import (
     parse_model,
     print_model,
     psi,
+    run_checks,
     tensor,
     tensor_scale,
 )
+
+from strategies import models
 
 S4_TEXT = """\
 # loop homology of the 4-sphere
@@ -159,6 +163,28 @@ def test_non_decimal_digit_in_a_value_is_located():
     assert exc.value.errors == [(10, "unexpected character '²' (column 3)")]
 
 
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        pytest.param("dim = 4", "dim = " + "1" * 5000, id="dim"),
+        pytest.param("euler = 2", "euler = -" + "1" * 5000, id="euler"),
+        pytest.param("generator v deg = 6", "generator v deg = " + "1" * 5000, id="degree"),
+        pytest.param("relation 2 * a*v", "relation " + "1" * 5000 + " * a*v", id="coefficient"),
+        pytest.param("relation 2 * a*v", "relation 2 * a*v^" + "1" * 5000, id="exponent"),
+        pytest.param("c0 = a", "c0 = " + "1" * 5000 + "*a", id="c0"),
+    ],
+)
+def test_over_long_integer_is_located(old, new):
+    # more digits than Python converts to an int
+    text = S4_TEXT.replace(old, new)
+    line = text.splitlines().index(new) + 1
+    with pytest.raises(ModelParseError) as exc:
+        parse_model(text)
+    column = " (column 1)" if new.startswith("c0") else ""
+    assert exc.value.errors[0] == (line, f"integer literal of 5000 digits is too long{column}")
+    assert not any("required" in msg for _, msg in exc.value.errors)
+
+
 def test_calls_not_allowed_in_model_files():
     text = S4_TEXT.replace("c0 = a", "c0 = psi(a)")
     with pytest.raises(ModelParseError) as exc:
@@ -217,6 +243,16 @@ def test_parse_print_parse_same_values():
     m1, m2 = doc.model, doc2.model
     assert print_model(m1) == print_model(m2)
     assert [r for r in m1.relations] == [r for r in m2.relations]
+
+
+@settings(max_examples=30, deadline=None)
+@given(models())
+def test_drawn_models_round_trip_and_check_without_error(model):
+    text = print_model(model)
+    assert print_model(parse_model(text).model) == text
+    # a law may fail on random data, but none may raise
+    report = run_checks(model, 2, 0)
+    assert [r.law for r in report.results if r.status == "error"] == []
 
 
 def test_load_model_builtin_and_unknown(tmp_path):

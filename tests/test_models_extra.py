@@ -17,7 +17,7 @@ from loophom import (
     twist,
 )
 
-from conftest import elements
+from strategies import elements
 
 
 @pytest.fixture(scope="module")
