@@ -75,6 +75,17 @@ RESERVED_NAMES = frozenset({"psi", "delta", "bracket", "mu"})
 _NAME_RE = re.compile(r"[A-Za-z_]\w*\Z")
 
 
+def parse_int(text: str) -> int:
+    """``int(text)`` of decimal digits, with a leading ``-`` where the
+    caller's grammar allows one.  More digits than Python converts (4,300
+    by default) is a ValueError that counts them, in no words of Python's;
+    the caller adds its column, line or name."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"integer literal of {len(text.lstrip('-'))} digits is too long") from None
+
+
 class ModelError(ValueError):
     """A presentation, or an operation on one, violates a constraint.
 
@@ -560,7 +571,7 @@ class LoopModel:
                 if i == j and self._degrees[i] % 2 == 1:
                     # g*g = 0 makes {g, g} 2-torsion; with BV data it is
                     # D(g)*g - g*D(g) - D(g*g) = 0, as D(g) is even
-                    if self.scale(2, val):
+                    if 2 * val:
                         problems.append(
                             (
                                 ("bracket", g1, g2),
@@ -636,7 +647,7 @@ class LoopModel:
             return None
         try:
             if isinstance(raw, int):
-                value = self.scale(raw, self.unit())
+                value = raw * self.unit()
             elif isinstance(raw, Mapping):
                 value = self.mono_elem(raw)
             else:

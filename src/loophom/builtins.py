@@ -20,7 +20,7 @@ from __future__ import annotations
 import re
 from functools import lru_cache
 
-from .algebra import LoopModel
+from .algebra import LoopModel, parse_int
 
 _BUILTIN_RE = re.compile(r"^(sphere|cpn|toy):(.+)\Z")
 
@@ -96,7 +96,10 @@ def builtin_model(name: str) -> LoopModel | None:
         if arg != "bv0":
             raise ValueError(f"unknown toy model 'toy:{arg}' (try toy:bv0)")
         return toy_bv0()
-    if not arg.isdigit():
+    if not arg.isdecimal():
         raise ValueError(f"bad parameter in '{name}': expected an integer")
-    n = int(arg)
+    try:
+        n = parse_int(arg)
+    except ValueError as exc:
+        raise ValueError(f"bad parameter in '{name}': {exc}") from None
     return sphere(n) if kind == "sphere" else projective_space(n)

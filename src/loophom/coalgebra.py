@@ -6,10 +6,12 @@ the gcd of the factors' effective moduli (the tensor product of cyclic
 modules), which is what makes identities like the split-independence of
 the coproduct hold on the nose for torsion classes.
 
-Factorwise operators (``apply_psi``, ``apply_delta_factorwise``) skip the
-Koszul prefactor a degree-d operator would normally pick up when sliding
-past earlier factors: the prefactor matters only for odd d, where the
-Euler characteristic vanishes and the coproduct is identically zero.
+An operator of odd degree picks up a Koszul prefactor when it slides
+past earlier tensor factors.  ``contract`` applies the product, of degree
+0, and needs none.  ``apply_psi`` needs none either: the coproduct has
+degree -d in the homological grading, and odd d forces the Euler
+characteristic chi = 0, so psi = 0.  Only ``apply_delta_factorwise``, for
+the BV operator of degree 1, applies the prefactor.
 """
 
 from __future__ import annotations
@@ -154,7 +156,7 @@ def psi_split(model: LoopModel, factors: Sequence[Element], ell: int = 0) -> Ten
         left = model.mul(left, f)
     for f in factors[ell:]:
         right = model.mul(right, f)
-    return tensor_scale(model.euler, tensor([left, right]))
+    return tensor([left, right]).scaled(model.euler)
 
 
 def apply_psi(t: TensorElement, slot: int) -> TensorElement:

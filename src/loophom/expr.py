@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import Union
 
-from .algebra import RESERVED_NAMES, Element, FrozenRecord, LoopModel, _set_field
+from .algebra import RESERVED_NAMES, Element, FrozenRecord, LoopModel, _set_field, parse_int
 from .coalgebra import TensorElement, psi, tensor
 from .tqft import Surface, string_operation
 
@@ -219,9 +219,9 @@ class _Parser:
         if not text[:1].isdecimal():
             self.fail(message)
         try:
-            value = int(text)
-        except ValueError:  # more digits than Python converts
-            self.fail(f"integer literal of {len(text)} digits is too long")
+            value = parse_int(text)
+        except ValueError as exc:
+            self.fail(str(exc))
         self.pos += 1
         return value
 
@@ -294,7 +294,7 @@ Value = Union[int, Element, TensorElement]
 
 def _lift(model: LoopModel, v: Value) -> Element | TensorElement:
     """An integer as that multiple of the unit; other values unchanged."""
-    return model.scale(v, model.unit()) if isinstance(v, int) else v
+    return v * model.unit() if isinstance(v, int) else v
 
 
 def _as_element(model: LoopModel, v: Value, what: str) -> Element:

@@ -22,7 +22,7 @@ from __future__ import annotations
 import re
 from pathlib import Path
 
-from .algebra import FrozenRecord, GeneratorSpec, LoopModel, ModelError, _set_field
+from .algebra import FrozenRecord, GeneratorSpec, LoopModel, ModelError, _set_field, parse_int
 from .builtins import builtin_model
 from .expr import evaluate_scalar, parse_expr
 
@@ -63,15 +63,6 @@ _BRACKET_RE = re.compile(r"^bracket\s*\[\s*(\w+)\s*,\s*(\w+)\s*\]\s*=\s*(.+)\Z")
 _FACTOR_RE = re.compile(r"^(\w+)(?:\^(\d+))?\Z")
 
 
-def _int(text: str) -> int:
-    """``int(text)``, or a ValueError naming the digit count when ``text``
-    has more digits than Python converts."""
-    try:
-        return int(text)
-    except ValueError:
-        raise ValueError(f"integer literal of {len(text.lstrip('-'))} digits is too long") from None
-
-
 def _parse_monomial_text(text: str) -> dict[str, int]:
     exps: dict[str, int] = {}
     for factor in text.split("*"):
@@ -82,7 +73,7 @@ def _parse_monomial_text(text: str) -> dict[str, int]:
         if not m:
             raise ValueError(f"bad monomial factor {factor!r}")
         name, power = m.group(1), m.group(2)
-        exps[name] = exps.get(name, 0) + (_int(power) if power else 1)
+        exps[name] = exps.get(name, 0) + (parse_int(power) if power else 1)
     return exps
 
 
@@ -119,15 +110,15 @@ def parse_model(text: str, provenance: str = "<string>") -> ModelDoc:
                 key = m.group(1)
                 if claim((key,), f"'{key}'"):
                     if key == "dim":
-                        dim = _int(m.group(2))
+                        dim = parse_int(m.group(2))
                     else:
-                        euler = _int(m.group(2))
+                        euler = parse_int(m.group(2))
             elif m := _GEN_RE.match(line):
                 name = m.group(1)
                 if claim(("generator", name), f"generator '{name}'", "first declared on"):
-                    gens.append(GeneratorSpec(name, _int(m.group(2)), bool(m.group(3))))
+                    gens.append(GeneratorSpec(name, parse_int(m.group(2)), bool(m.group(3))))
             elif m := _REL_RE.match(line):
-                coeff = _int(m.group(1))
+                coeff = parse_int(m.group(1))
                 if coeff < 1:
                     raise ValueError(f"relation coefficient must be positive, got {coeff}")
                 rels.append((coeff, _parse_monomial_text(m.group(2))))
@@ -193,7 +184,9 @@ def parse_model(text: str, provenance: str = "<string>") -> ModelDoc:
 
 def print_model(model: LoopModel) -> str:
     """Canonical text for a model; parsing it back gives an
-    equivalent model whose printout is identical."""
+    equivalent model whose printout is identical.  An empty BV or bracket
+    table prints as one zero entry on the first generator, so that the
+    text still carries the table."""
     lines = [f"dim = {model.dim}", f"euler = {model.euler}"]
     for g in model.generators:
         suffix = " geometric" if g.geometric else ""
@@ -203,16 +196,19 @@ def print_model(model: LoopModel) -> str:
     lines.append(f"c0 = {model.c0}")
     if model.simply_connected:
         lines.append("flag simply_connected")
-    if model.delta_on_generators is not None:
-        for g in model.generators:
-            if g.name in model.delta_on_generators:
-                lines.append(f"delta {g.name} = {model.delta_on_generators[g.name]}")
-    if model.bracket_on_generators is not None:
+    first = model.generators[0].name  # c0 has a nonzero degree, so there is one
+    deltas = model.delta_on_generators
+    if deltas is not None:
+        entries = [f"delta {g.name} = {deltas[g.name]}" for g in model.generators if g.name in deltas]
+        lines += entries or [f"delta {first} = 0"]
+    brackets = model.bracket_on_generators
+    if brackets is not None:
         order = {g.name: i for i, g in enumerate(model.generators)}
-        for g1, g2 in sorted(
-            model.bracket_on_generators, key=lambda k: (order[k[0]], order[k[1]])
-        ):
-            lines.append(f"bracket [{g1},{g2}] = {model.bracket_on_generators[(g1, g2)]}")
+        entries = [
+            f"bracket [{g1},{g2}] = {brackets[(g1, g2)]}"
+            for g1, g2 in sorted(brackets, key=lambda k: (order[k[0]], order[k[1]]))
+        ]
+        lines += entries or [f"bracket [{first},{first}] = 0"]
     return "\n".join(lines) + "\n"
 
 

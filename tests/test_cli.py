@@ -118,6 +118,11 @@ def test_eval_json_element():
         (["eval", "--model", "sphere:1", "1"], "sphere:1 is not supported (need N >= 2)"),
         (["eval", "--model", "cpn:0", "1"], "cpn:0 is not supported (need N >= 1)"),
         (["eval", "--model", "cpn:x", "1"], "bad parameter in 'cpn:x': expected an integer"),
+        (["eval", "--model", "sphere:²", "1"], "bad parameter in 'sphere:²': expected an integer"),
+        (
+            ["eval", "--model", "sphere:" + "1" * 5000, "1"],
+            f"bad parameter in 'sphere:{'1' * 5000}': integer literal of 5000 digits is too long",
+        ),
         (["eval", "--model", "toy:bv1", "1"], "unknown toy model 'toy:bv1' (try toy:bv0)"),
     ],
     ids=[
@@ -129,6 +134,8 @@ def test_eval_json_element():
         "sphere-1",
         "cpn-0",
         "cpn-x",
+        "sphere-superscript-two",
+        "sphere-5000-digits",
         "toy-bv1",
     ],
 )

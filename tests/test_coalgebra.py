@@ -45,6 +45,12 @@ def test_empty_factor_list_rejected(s4):
         tensor([])
 
 
+def test_zero_arity_rejected(s4):
+    with pytest.raises(ValueError) as exc:
+        tensor_zero(s4, 0)
+    assert str(exc.value) == "tensor arity must be at least 1"
+
+
 def test_mixed_model_tensor_rejected(s4, cp2):
     with pytest.raises(ModelError, match="different models"):
         tensor([s4.unit(), cp2.unit()])

@@ -176,6 +176,26 @@ def test_eval_rejects_adding_tensor_to_scalar(s4):
         run_expr(s4, "psi(1) + a")
 
 
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ("(a (x) b)^2", "power base must be a scalar element, got an arity-2 tensor"),
+        ("(a (x) b) + (a (x) b (x) v)", "cannot add tensors of arity 2 and 3"),
+        ("(a (x) b) * v", "cannot multiply by an arity >= 2 tensor"),
+        (
+            "mu(0,0,1;)",
+            "operations with no incoming boundary are not defined; "
+            "pass the unit as an explicit input instead",
+        ),
+    ],
+    ids=["tensor-power", "add-arities", "tensor-times-element", "mu-no-inputs"],
+)
+def test_eval_error_text(s4, text, error):
+    with pytest.raises(EvalError) as exc:
+        run_expr(s4, text)
+    assert str(exc.value) == error
+
+
 def test_eval_delta_and_bracket_need_data(s4, toy):
     with pytest.raises(ModelError, match="bracket data"):
         run_expr(s4, "bracket(a, v)")

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 
 from loophom import (
+    LoopModel,
     ModelDoc,
     ModelParseError,
     load_model,
@@ -216,6 +217,28 @@ def test_flag_and_bv_lines(toy):
     }
     assert set(doc.model.bracket_on_generators) == {("y", "z")}
     assert [g.geometric for g in doc.model.generators] == [True, True]
+
+
+@pytest.mark.parametrize(
+    "delta, bracket",
+    [({"g": 0}, {}), (None, {}), ({}, {}), ({}, {("g", "g"): 0})],
+    ids=["delta-only", "empty-bracket", "both-empty", "empty-delta"],
+)
+def test_empty_bv_and_bracket_tables_survive_printing(delta, bracket):
+    model = LoopModel(
+        dim=1,
+        euler=0,
+        generators=[("c", -1), ("g", 1)],
+        c0={"c": 1},
+        delta=delta,
+        bracket=bracket,
+    )
+    text = print_model(model)
+    again = parse_model(text).model
+    assert print_model(again) == text
+    # an empty table stays present, so check runs the laws that need it
+    assert (again.delta_on_generators is None) == (delta is None)
+    assert again.bracket_on_generators is not None
 
 
 def test_unknown_flag_rejected():

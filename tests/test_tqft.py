@@ -115,6 +115,12 @@ def test_arity_mismatch_rejected(s4):
         string_operation(s4, Surface(0, 2, 1), [s4.unit()])
 
 
+def test_input_tensor_of_another_model_rejected(s4, cp2):
+    with pytest.raises(ValueError) as exc:
+        string_operation(s4, Surface(0, 1, 1), tensor([cp2.unit()]))
+    assert str(exc.value) == "input tensor belongs to a different model"
+
+
 def test_zero_inputs_rejected(s4):
     with pytest.raises(ValueError, match="incoming"):
         string_operation(s4, Surface(0, 0, 1), tensor([s4.unit()]))
