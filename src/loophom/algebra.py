@@ -29,7 +29,7 @@ dict and reduces it once.
 Product signs: concatenating two monomials and sorting the letters back
 into declaration order moves each odd letter of the right factor past
 the odd letters of the left factor with a larger index, and each such
-swap contributes -1 (even letters commute freely).  ``_mono_mul`` reads
+swap contributes -1 (even letters commute freely).  ``mono_mul`` reads
 the odd generators present in each factor into bitmasks ``odd1`` and
 ``odd2``; the product dies when the masks overlap (an odd generator
 squared), and otherwise the sign is -1 raised to the number of such
@@ -309,7 +309,7 @@ class Element(Combination):
     arity = 1
 
     def _make(self, acc: dict[Monomial, int]) -> "Element":
-        return self.model._from_raw(acc)
+        return self.model.from_raw(acc)
 
     def _format_term(self, c_abs: int, m: Monomial) -> str:
         if not any(m):
@@ -628,13 +628,13 @@ class LoopModel:
                 for i, g in enumerate(self.generators):
                     acc: dict[Monomial, int] = {}
                     self._add_gen_bracket(acc, k, unit, i, m)
-                    if value := self._from_raw(acc):
+                    if value := self.from_raw(acc):
                         msg = f"bracket with '{g.name}' does not vanish on {text}: got {value}"
                         problems.append((where, msg))
                 if self.delta_on_generators is not None:
                     acc = {}
                     self._add_delta(acc, k, m)
-                    if value := self._from_raw(acc):
+                    if value := self.from_raw(acc):
                         problems.append((where, f"delta does not vanish on {text}: got {value}"))
 
         if problems:
@@ -690,13 +690,13 @@ class LoopModel:
 
     def mono_elem(self, raw: MonomialLike) -> Element:
         """The element ``1 * monomial`` in normal form."""
-        return self._from_raw({self.monomial(raw): 1})
+        return self.from_raw({self.monomial(raw): 1})
 
     def gen(self, name: str) -> Element:
         return self.mono_elem({name: 1})
 
     def unit(self) -> Element:
-        return self._from_raw({(0,) * len(self.generators): 1})
+        return self.from_raw({(0,) * len(self.generators): 1})
 
     def zero(self) -> Element:
         return Element(self, {})
@@ -716,7 +716,8 @@ class LoopModel:
             self._modulus_cache[m] = cached
         return cached
 
-    def _from_raw(self, acc: dict[Monomial, int]) -> Element:
+    def from_raw(self, acc: dict[Monomial, int]) -> Element:
+        """The element of a raw monomial dict, each coefficient reduced once."""
         cache = self._modulus_cache
         terms: dict[Monomial, int] = {}
         for m, c in acc.items():
@@ -734,7 +735,7 @@ class LoopModel:
         combination given as ``(coefficient, monomial)`` pairs."""
         if isinstance(raw, Element):
             self._check_same(raw)
-            return self._from_raw(dict(raw.terms))
+            return self.from_raw(dict(raw.terms))
         try:
             pairs = [(coeff, mono_raw) for coeff, mono_raw in raw]
         except (TypeError, ValueError):
@@ -747,7 +748,7 @@ class LoopModel:
                 raise ModelError(f"coefficient must be an integer, got {coeff!r}")
             m = self.monomial(mono_raw)
             acc[m] = acc.get(m, 0) + coeff
-        return self._from_raw(acc)
+        return self.from_raw(acc)
 
     # -- module and ring operations ---------------------------------------
 
@@ -759,7 +760,7 @@ class LoopModel:
         self._check_same(x)
         return x.scaled(k)
 
-    def _mono_mul(self, m1: Monomial, m2: Monomial) -> tuple[int, Monomial] | None:
+    def mono_mul(self, m1: Monomial, m2: Monomial) -> tuple[int, Monomial] | None:
         """Product of normal-form monomials with its Koszul sign; None if
         an odd generator squares."""
         odd1 = odd2 = 0
@@ -789,7 +790,7 @@ class LoopModel:
         xt, yt = x.terms, y.terms
         if not xt or not yt:
             return Element(self, {})
-        mono_mul = self._mono_mul
+        mono_mul = self.mono_mul
         acc: dict[Monomial, int] = {}
         for m1, c1 in xt.items():
             for m2, c2 in yt.items():
@@ -798,7 +799,7 @@ class LoopModel:
                     continue
                 sign, m = hit
                 acc[m] = acc.get(m, 0) + sign * c1 * c2
-        return self._from_raw(acc)
+        return self.from_raw(acc)
 
     # -- grading ------------------------------------------------------------
 
@@ -880,7 +881,7 @@ class LoopModel:
     def _add_product(self, acc: dict, c: int, m: Monomial, value: Element) -> None:
         """Add ``c * m * value`` to the raw sum ``acc``."""
         for mv, cv in value.terms.items():
-            hit = self._mono_mul(m, mv)
+            hit = self.mono_mul(m, mv)
             if hit is not None:
                 acc[hit[1]] = acc.get(hit[1], 0) + hit[0] * c * cv
 
@@ -893,7 +894,7 @@ class LoopModel:
             if f:
                 above -= f * degs[l]
                 b = self._brackets.get((k, l))
-                hit = None if b is None else self._mono_mul(left, _lowered(y, l))
+                hit = None if b is None else self.mono_mul(left, _lowered(y, l))
                 if hit is not None:
                     sign = _sign((dk + 1) * below + (dk + degs[l] + 1) * above)
                     self._add_product(acc, c * f * sign * hit[0], hit[1], b)
@@ -919,7 +920,7 @@ class LoopModel:
             for m1, c1 in x.terms.items():
                 for m2, c2 in y.terms.items():
                     self._add_bracket(acc, c1 * c2, m1, m2)
-        return self._from_raw(acc)
+        return self.from_raw(acc)
 
     def _add_delta(self, acc: dict, c: int, m: Monomial) -> None:
         """Add ``c * D(m)`` to ``acc``: up to three terms per generator of ``m``."""
@@ -952,7 +953,7 @@ class LoopModel:
         if self._brackets or self._deltas:
             for m, c in x.terms.items():
                 self._add_delta(acc, c, m)
-        return self._from_raw(acc)
+        return self.from_raw(acc)
 
     def clear_caches(self) -> None:
         """Empty the modulus cache, which keeps an entry per monomial met

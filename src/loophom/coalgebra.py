@@ -12,6 +12,16 @@ past earlier tensor factors.  ``contract`` applies the product, of degree
 degree -d in the homological grading, and odd d forces the Euler
 characteristic chi = 0, so psi = 0.  Only ``apply_delta_factorwise``, for
 the BV operator of degree 1, applies the prefactor.
+
+Each public call reduces once: ``tensor``, ``contract`` and the closed
+form in ``tqft`` multiply monomials with ``LoopModel.mono_mul`` and add
+raw coefficients.  This is exact.  A relation ``k*m' = 0`` dividing a
+monomial divides its products, so a product's modulus divides its
+factors' moduli; a pure tensor's modulus, the gcd over its factors,
+divides each of theirs (0 is free, and every integer divides 0).  So the
+modulus N of a final key divides the modulus M of all it came from, and
+``(c mod M) mod N = c mod N``.  As N != 1 on a surviving key, M != 1 on
+each of its monomials, where coefficient 1 is canonical.
 """
 
 from __future__ import annotations
@@ -55,9 +65,7 @@ def tensor_zero(model: LoopModel, arity: int) -> TensorElement:
 def _from_raw(model: LoopModel, arity: int, acc: dict[tuple[Monomial, ...], int]) -> TensorElement:
     terms: dict[tuple[Monomial, ...], int] = {}
     for ms, c in acc.items():
-        mod = 0
-        for m in ms:
-            mod = gcd(mod, model.modulus(m))
+        mod = gcd(*map(model.modulus, ms))
         if mod:
             c %= mod
         if c:
@@ -65,24 +73,27 @@ def _from_raw(model: LoopModel, arity: int, acc: dict[tuple[Monomial, ...], int]
     return TensorElement(model, arity, terms)
 
 
-def tensor(factors: Sequence[Element]) -> TensorElement:
-    """Pure tensor of elements, expanded multilinearly into monomial terms."""
+def check_factors(model: LoopModel, factors: Sequence[Element]) -> None:
+    """Refuse no factors, or a factor that is not an element of ``model``."""
     if not factors:
         raise ValueError("tensor needs at least one factor")
-    model = factors[0].model
     for f in factors:
         if not isinstance(f, Element) or f.model is not model:
             raise ModelError("tensor factors belong to different models")
-    acc: dict[tuple[Monomial, ...], int] = {(): 1}  # type: ignore[dict-item]
+
+
+def tensor(factors: Sequence[Element]) -> TensorElement:
+    """Pure tensor of elements, expanded multilinearly into monomial terms."""
+    model = factors[0].model if factors and isinstance(factors[0], Element) else None
+    check_factors(model, factors)
+    return _expand(model, factors, 1)
+
+
+def _expand(model: LoopModel, factors: Sequence[Element], k: int) -> TensorElement:
+    """``k`` times the pure tensor of ``factors``; its keys are distinct."""
+    acc: dict[tuple[Monomial, ...], int] = {(): k}  # type: ignore[dict-item]
     for f in factors:
-        nxt: dict[tuple[Monomial, ...], int] = {}
-        for ms, c in acc.items():
-            for m, cf in f.terms.items():
-                key = ms + (m,)
-                nxt[key] = nxt.get(key, 0) + c * cf
-        acc = nxt
-        if not acc:
-            break
+        acc = {ms + (m,): c * cf for ms, c in acc.items() for m, cf in f.terms.items()}
     return _from_raw(model, len(factors), acc)
 
 
@@ -114,14 +125,14 @@ def contract(t: TensorElement, slot: int) -> TensorElement:
     """
     if not 1 <= slot < t.arity:
         raise ValueError(f"slot {slot} out of range for arity {t.arity}")
-    model = t.model
+    mono_mul = t.model.mono_mul
     acc: dict[tuple[Monomial, ...], int] = {}
     for ms, c in t.terms.items():
-        prod = model.mul(model.mono_elem(ms[slot - 1]), model.mono_elem(ms[slot]))
-        for pm, pc in prod.terms.items():
-            key = ms[: slot - 1] + (pm,) + ms[slot + 1 :]
-            acc[key] = acc.get(key, 0) + c * pc
-    return _from_raw(model, t.arity - 1, acc)
+        hit = mono_mul(ms[slot - 1], ms[slot])
+        if hit is not None:
+            key = ms[: slot - 1] + (hit[1],) + ms[slot + 1 :]
+            acc[key] = acc.get(key, 0) + c * hit[0]
+    return _from_raw(t.model, t.arity - 1, acc)
 
 
 def psi(model: LoopModel, a: Element) -> TensorElement:
@@ -156,7 +167,7 @@ def psi_split(model: LoopModel, factors: Sequence[Element], ell: int = 0) -> Ten
         left = model.mul(left, f)
     for f in factors[ell:]:
         right = model.mul(right, f)
-    return tensor([left, right]).scaled(model.euler)
+    return _expand(model, [left, right], model.euler)
 
 
 def apply_psi(t: TensorElement, slot: int) -> TensorElement:
@@ -166,7 +177,7 @@ def apply_psi(t: TensorElement, slot: int) -> TensorElement:
     model = t.model
     acc: dict[tuple[Monomial, ...], int] = {}
     for ms, c in t.terms.items():
-        expanded = psi(model, model.mono_elem(ms[slot - 1]))
+        expanded = psi(model, Element(model, {ms[slot - 1]: 1}))
         for (p1, p2), pc in expanded.terms.items():
             key = ms[: slot - 1] + (p1, p2) + ms[slot:]
             acc[key] = acc.get(key, 0) + c * pc

@@ -2,11 +2,11 @@
 
 Every oriented connected cobordism of genus g with p inputs and q >= 1
 outputs acts on tensor powers of the loop homology.  The operation is
-evaluated through closed forms: it vanishes outright for g >= 1 or
-q >= 3, multiplies the inputs for (g, q) = (0, 1), and coproducts their
-product for (g, q) = (0, 2).  ``string_operation_via_pants`` evaluates
-the same operation by composing pair-of-pants pieces instead and exists
-so the two routes can be compared.
+evaluated through closed forms: for g >= 1 or q >= 3 it checks its input,
+expands nothing and is zero; it multiplies the inputs for (g, q) = (0, 1)
+and coproducts their product for (g, q) = (0, 2).
+``string_operation_via_pants`` evaluates the same operation by composing
+pair-of-pants pieces instead and exists so the two routes can be compared.
 """
 
 from __future__ import annotations
@@ -14,8 +14,8 @@ from __future__ import annotations
 import enum
 from typing import Sequence, Union
 
-from .algebra import Element, FrozenRecord, LoopModel, _set_field
-from .coalgebra import TensorElement, apply_psi, contract, psi_split, tensor, tensor_zero
+from .algebra import Element, FrozenRecord, LoopModel, Monomial, _set_field
+from .coalgebra import TensorElement, apply_psi, check_factors, contract, psi_split, tensor, tensor_zero
 
 
 class VanishingReason(enum.Enum):
@@ -73,7 +73,8 @@ def vanishing_certificate(s: Surface) -> VanishingReason:
 InputLike = Union[TensorElement, Sequence[Element]]
 
 
-def _coerce_input(model: LoopModel, s: Surface, inputs: InputLike) -> TensorElement:
+def _checked_input(model: LoopModel, s: Surface, inputs: InputLike) -> InputLike:
+    """``inputs`` after the checks every surface makes, not yet expanded."""
     if s.inputs == 0:
         raise ValueError(
             "operations with no incoming boundary are not defined; "
@@ -82,26 +83,30 @@ def _coerce_input(model: LoopModel, s: Surface, inputs: InputLike) -> TensorElem
     if isinstance(inputs, TensorElement):
         if inputs.model is not model:
             raise ValueError("input tensor belongs to a different model")
-        t = inputs
+        arity = inputs.arity
     else:
-        t = tensor(list(inputs))
-    if t.arity != s.inputs:
-        raise ValueError(f"arity mismatch: surface expects {s.inputs} inputs, got {t.arity}")
-    return t
+        inputs = list(inputs)
+        check_factors(model, inputs)
+        arity = len(inputs)
+    if arity != s.inputs:
+        raise ValueError(f"arity mismatch: surface expects {s.inputs} inputs, got {arity}")
+    return inputs
 
 
 def string_operation(model: LoopModel, s: Surface, inputs: InputLike) -> TensorElement:
     """Evaluate the operation of ``s`` on an arity-p input, by closed form."""
-    t = _coerce_input(model, s, inputs)
+    inputs = _checked_input(model, s, inputs)
     if vanishing_certificate(s) is not VanishingReason.NOT_A_PRIORI:
         return tensor_zero(model, s.outputs)
-    pieces = []
+    t = inputs if isinstance(inputs, TensorElement) else tensor(inputs)
+    acc: dict[Monomial, int] = {}
     for ms, c in t.terms.items():
-        prod = model.unit()
-        for m in ms:
-            prod = model.mul(prod, model.mono_elem(m))
-        pieces.append((c, prod))
-    p = model.zero()._sum(pieces)
+        m = ms[0]
+        for m2 in ms[1:]:
+            sign, m = model.mono_mul(m, m2) or (0, m)  # 0: an odd generator squares
+            c *= sign
+        acc[m] = acc.get(m, 0) + c
+    p = model.from_raw(acc)  # reduced once; see the coalgebra docstring
     # psi_split is linear in its last factor
     return tensor([p]) if s.outputs == 1 else psi_split(model, [p], 0)
 
@@ -110,7 +115,8 @@ def string_operation_via_pants(model: LoopModel, s: Surface, inputs: InputLike) 
     """Evaluate the same operation through its pair-of-pants decomposition:
     merge the inputs, run each handle as coproduct-then-product, then split
     off the outputs."""
-    t = _coerce_input(model, s, inputs)
+    t = _checked_input(model, s, inputs)
+    t = t if isinstance(t, TensorElement) else tensor(t)
     for _ in range(s.inputs - 1):
         t = contract(t, 1)
     for _ in range(s.genus):

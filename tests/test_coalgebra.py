@@ -56,6 +56,15 @@ def test_mixed_model_tensor_rejected(s4, cp2):
         tensor([s4.unit(), cp2.unit()])
 
 
+@pytest.mark.parametrize("first", [3, None, "a"], ids=["int", "none", "str"])
+def test_non_element_first_factor_rejected(s4, first):
+    # the first factor is checked like the others, before its model is read
+    for factors in ([first], [first, s4.unit()]):
+        with pytest.raises(ModelError) as exc:
+            tensor(factors)
+        assert str(exc.value) == "tensor factors belong to different models"
+
+
 def test_arity_mismatch_add_rejected(s4):
     with pytest.raises(ValueError, match="arity"):
         tensor_add(tensor([s4.unit()]), tensor([s4.unit(), s4.unit()]))

@@ -1,14 +1,19 @@
 """Surface bookkeeping and the operation attached to a cobordism type."""
 
+import functools
 import itertools
 import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loophom import (
+    ModelError,
     Surface,
     VanishingReason,
+    contract,
     sew,
     string_operation,
     string_operation_via_pants,
@@ -17,6 +22,7 @@ from loophom import (
     tensor_zero,
     vanishing_certificate,
 )
+from strategies import elements, models
 
 
 # -- surfaces --------------------------------------------------------------------
@@ -119,6 +125,76 @@ def test_input_tensor_of_another_model_rejected(s4, cp2):
     with pytest.raises(ValueError) as exc:
         string_operation(s4, Surface(0, 1, 1), tensor([cp2.unit()]))
     assert str(exc.value) == "input tensor belongs to a different model"
+
+
+_FOREIGN = "tensor factors belong to different models"
+_NO_BOUNDARY = (
+    "operations with no incoming boundary are not defined; "
+    "pass the unit as an explicit input instead"
+)
+
+
+@pytest.mark.parametrize(
+    "s",
+    [Surface(1, 2, 1), Surface(0, 2, 3), Surface(0, 2, 1)],
+    ids=lambda s: f"g{s.genus}p{s.inputs}q{s.outputs}",
+)
+def test_input_checks_do_not_depend_on_vanishing(s4, cp2, s):
+    """A surface that vanishes a priori (the first two) refuses a bad input
+    with the same exception, text and precedence as one that does not:
+    no incoming boundary, then the factors, then the arity."""
+    u, w = s4.unit(), cp2.unit()
+    cases = [
+        ([u, w], ModelError, _FOREIGN),
+        ([w, u], ModelError, _FOREIGN),
+        ([u, 3], ModelError, _FOREIGN),
+        ([u, w, u], ModelError, _FOREIGN),
+        ([], ValueError, "tensor needs at least one factor"),
+        ([u], ValueError, "arity mismatch: surface expects 2 inputs, got 1"),
+        ([u, u, u], ValueError, "arity mismatch: surface expects 2 inputs, got 3"),
+        (tensor([w, w]), ValueError, "input tensor belongs to a different model"),
+        (tensor([w]), ValueError, "input tensor belongs to a different model"),
+    ]
+    for inputs, kind, text in cases:
+        with pytest.raises(ValueError) as exc:
+            string_operation(s4, s, inputs)
+        assert type(exc.value) is kind and str(exc.value) == text, inputs
+    for inputs in ([u], [], [u, w], tensor([w])):
+        with pytest.raises(ValueError) as exc:
+            string_operation(s4, Surface(s.genus, 0, s.outputs), inputs)
+        assert type(exc.value) is ValueError and str(exc.value) == _NO_BOUNDARY
+
+
+@pytest.mark.parametrize(
+    "s",
+    [Surface(0, 1, 1), Surface(0, 2, 1), Surface(0, 1, 2), Surface(1, 2, 1), Surface(0, 2, 3)],
+    ids=lambda s: f"g{s.genus}p{s.inputs}q{s.outputs}",
+)
+def test_factors_of_another_model_rejected(s4, cp2, s):
+    """Factors that all belong to one other model, or that are not
+    elements, are refused by both routes: the factors are checked against
+    the model of the surface operation, not against the first factor."""
+    for inputs in ([cp2.gen("u")] * s.inputs, [3] * s.inputs):
+        for route in (string_operation, string_operation_via_pants):
+            with pytest.raises(ModelError) as exc:
+                route(s4, s, inputs)
+            assert str(exc.value) == _FOREIGN
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), p=st.integers(1, 3))
+def test_reduce_once_matches_reduced_products(data, p):
+    """The closed form, the pants route and ``contract`` reduce once, at the
+    end; ``LoopModel.mul`` reduces after every product.  The drawn
+    relation coefficients 2, 3, 4 and 6 give moduli whose gcds differ."""
+    model = data.draw(models())
+    xs = [data.draw(elements(model, window=4, max_terms=4)) for _ in range(p)]
+    expected = tensor([functools.reduce(model.mul, xs)])
+    assert string_operation(model, Surface(0, p, 1), xs) == expected
+    assert string_operation_via_pants(model, Surface(0, p, 1), xs) == expected
+    for k in range(1, p):
+        merged = xs[: k - 1] + [model.mul(xs[k - 1], xs[k])] + xs[k + 1 :]
+        assert contract(tensor(xs), k) == tensor(merged)
 
 
 def test_zero_inputs_rejected(s4):
