@@ -59,6 +59,7 @@ grow with the exponents.
 from __future__ import annotations
 
 import re
+import sys
 from collections.abc import Mapping
 from math import gcd
 from operator import add, attrgetter, le
@@ -291,7 +292,13 @@ class Combination:
     def __str__(self) -> str:
         out = ""
         for key, c in self.sorted_terms():
-            body = self._format_term(abs(c), key)
+            try:
+                body = self._format_term(abs(c), key)
+            except ValueError:  # the interpreter's limit on integer text
+                raise ValueError(
+                    f"the coefficient of {self._format_term(1, key)} has more than "
+                    f"{sys.get_int_max_str_digits()} digits, too many to print"
+                ) from None
             if not out:
                 out = "-" + body if c < 0 else body
             else:

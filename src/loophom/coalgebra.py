@@ -13,9 +13,9 @@ degree -d in the homological grading, and odd d forces the Euler
 characteristic chi = 0, so psi = 0.  Only ``apply_delta_factorwise``, for
 the BV operator of degree 1, applies the prefactor.
 
-Each public call reduces once: ``tensor``, ``contract`` and the closed
-form in ``tqft`` multiply monomials with ``LoopModel.mono_mul`` and add
-raw coefficients.  This is exact.  A relation ``k*m' = 0`` dividing a
+Each public call reduces once, at the end: ``tensor`` and ``contract``
+(which multiplies monomials with ``LoopModel.mono_mul``) add raw
+coefficients.  This is exact.  A relation ``k*m' = 0`` dividing a
 monomial divides its products, so a product's modulus divides its
 factors' moduli; a pure tensor's modulus, the gcd over its factors,
 divides each of theirs (0 is free, and every integer divides 0).  So the
@@ -196,7 +196,7 @@ def apply_delta_factorwise(t: TensorElement) -> TensorElement:
                 if sum(model.monomial_degree(m) for m in ms[:slot]) % 2
                 else 1
             )
-            image = model.delta(model.mono_elem(ms[slot]))
+            image = model.delta(Element(model, {ms[slot]: 1}))
             for dm, dc in image.terms.items():
                 key = ms[:slot] + (dm,) + ms[slot + 1 :]
                 acc[key] = acc.get(key, 0) + sign * c * dc

@@ -3,8 +3,9 @@
 Every oriented connected cobordism of genus g with p inputs and q >= 1
 outputs acts on tensor powers of the loop homology.  The operation is
 evaluated through closed forms: for g >= 1 or q >= 3 it checks its input,
-expands nothing and is zero; it multiplies the inputs for (g, q) = (0, 1)
-and coproducts their product for (g, q) = (0, 2).
+expands nothing and is zero.  Otherwise a list input is multiplied with
+``LoopModel.mul`` and never expanded; a tensor input is contracted.  The
+product is the value for q = 1, and ``psi_split`` takes it for q = 2.
 ``string_operation_via_pants`` evaluates the same operation by composing
 pair-of-pants pieces instead and exists so the two routes can be compared.
 """
@@ -12,9 +13,10 @@ pair-of-pants pieces instead and exists so the two routes can be compared.
 from __future__ import annotations
 
 import enum
+import functools
 from typing import Sequence, Union
 
-from .algebra import Element, FrozenRecord, LoopModel, Monomial, _set_field
+from .algebra import Element, FrozenRecord, LoopModel, _set_field
 from .coalgebra import TensorElement, apply_psi, check_factors, contract, psi_split, tensor, tensor_zero
 
 
@@ -98,17 +100,13 @@ def string_operation(model: LoopModel, s: Surface, inputs: InputLike) -> TensorE
     inputs = _checked_input(model, s, inputs)
     if vanishing_certificate(s) is not VanishingReason.NOT_A_PRIORI:
         return tensor_zero(model, s.outputs)
-    t = inputs if isinstance(inputs, TensorElement) else tensor(inputs)
-    acc: dict[Monomial, int] = {}
-    for ms, c in t.terms.items():
-        m = ms[0]
-        for m2 in ms[1:]:
-            sign, m = model.mono_mul(m, m2) or (0, m)  # 0: an odd generator squares
-            c *= sign
-        acc[m] = acc.get(m, 0) + c
-    p = model.from_raw(acc)  # reduced once; see the coalgebra docstring
-    # psi_split is linear in its last factor
-    return tensor([p]) if s.outputs == 1 else psi_split(model, [p], 0)
+    if isinstance(inputs, TensorElement):
+        for _ in range(s.inputs - 1):
+            inputs = contract(inputs, 1)
+        inputs = [inputs.as_element()]
+    if s.outputs == 1:
+        return tensor([functools.reduce(model.mul, inputs)])
+    return psi_split(model, inputs, 0)
 
 
 def string_operation_via_pants(model: LoopModel, s: Surface, inputs: InputLike) -> TensorElement:

@@ -50,6 +50,10 @@ bracket [a,v] = 1
 """
 
 
+# Python converts integers of at most 4,300 digits to text by default
+_TOO_LONG = "the coefficient of {} has more than 4300 digits, too many to print"
+
+
 def run_cli(*args, **kwargs):
     return subprocess.run(
         [sys.executable, "-m", "loophom", *args],
@@ -124,6 +128,12 @@ def test_eval_json_element():
             f"bad parameter in 'sphere:{'1' * 5000}': integer literal of 5000 digits is too long",
         ),
         (["eval", "--model", "toy:bv1", "1"], "unknown toy model 'toy:bv1' (try toy:bv0)"),
+        (["eval", "--model", "sphere:4", "2^20000"], _TOO_LONG.format("1")),
+        (["eval", "--model", "sphere:4", "--json", "2^20000"], _TOO_LONG.format("1")),
+        (
+            ["tqft", "--model", "sphere:4", "--genus", "0", "--in", "1", "--out", "2", "2^20000"],
+            _TOO_LONG.format("(a (x) a)"),
+        ),
     ],
     ids=[
         "add-arities",
@@ -137,6 +147,9 @@ def test_eval_json_element():
         "sphere-superscript-two",
         "sphere-5000-digits",
         "toy-bv1",
+        "print-huge-coefficient",
+        "json-huge-coefficient",
+        "tqft-huge-coefficient",
     ],
 )
 def test_error_paths_exit_two_with_one_line(argv, error):

@@ -9,11 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from loophom import tqft
 from loophom import (
     ModelError,
     Surface,
     VanishingReason,
     contract,
+    psi_split,
     sew,
     string_operation,
     string_operation_via_pants,
@@ -182,16 +184,18 @@ def test_factors_of_another_model_rejected(s4, cp2, s):
 
 
 @settings(max_examples=60, deadline=None)
-@given(data=st.data(), p=st.integers(1, 3))
-def test_reduce_once_matches_reduced_products(data, p):
-    """The closed form, the pants route and ``contract`` reduce once, at the
-    end; ``LoopModel.mul`` reduces after every product.  The drawn
-    relation coefficients 2, 3, 4 and 6 give moduli whose gcds differ."""
+@given(data=st.data(), p=st.integers(1, 3), q=st.integers(1, 2))
+def test_reduce_once_matches_reduced_products(data, p, q):
+    """The closed form multiplies with ``LoopModel.mul``, which reduces
+    after every product; the pants route and ``contract`` reduce once, at
+    the end.  The drawn relation coefficients 2, 3, 4 and 6 give moduli
+    whose gcds differ."""
     model = data.draw(models())
     xs = [data.draw(elements(model, window=4, max_terms=4)) for _ in range(p)]
-    expected = tensor([functools.reduce(model.mul, xs)])
-    assert string_operation(model, Surface(0, p, 1), xs) == expected
-    assert string_operation_via_pants(model, Surface(0, p, 1), xs) == expected
+    product = functools.reduce(model.mul, xs)
+    expected = tensor([product]) if q == 1 else psi_split(model, [product], 0)
+    assert string_operation(model, Surface(0, p, q), xs) == expected
+    assert string_operation_via_pants(model, Surface(0, p, q), xs) == expected
     for k in range(1, p):
         merged = xs[: k - 1] + [model.mul(xs[k - 1], xs[k])] + xs[k + 1 :]
         assert contract(tensor(xs), k) == tensor(merged)
@@ -215,6 +219,18 @@ def multi_term_factors(model, count):
     one = model.unit()
     cycle = [one + g0 + 2 * g2, 3 * g1 - g2 + one, 2 * one + g2 - g0]
     return [cycle[i % 3] for i in range(count)]
+
+
+def test_list_input_is_multiplied_not_expanded(s4, cp2, monkeypatch):
+    """A list input never reaches ``tensor`` as its whole p-fold tensor:
+    every call gets one factor, and the value is the pants route's."""
+    cases = [(m, Surface(0, p, q)) for m in (s4, cp2) for p in (2, 3) for q in (1, 2)]
+    expected = [string_operation_via_pants(m, s, multi_term_factors(m, s.inputs)) for m, s in cases]
+    widths = []
+    monkeypatch.setattr(tqft, "tensor", lambda factors: widths.append(len(factors)) or tensor(factors))
+    for (model, s), want in zip(cases, expected):
+        assert string_operation(model, s, multi_term_factors(model, s.inputs)) == want
+    assert widths and max(widths) == 1
 
 
 @pytest.mark.parametrize("model_name", ["s4", "cp2"])
