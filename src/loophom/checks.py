@@ -130,6 +130,7 @@ class DenseOracle:
         for i in range(n):
             if self.odd[i]:
                 self.relations.append((1, [2 if j == i else 0 for j in range(n)]))
+        self._moduli: dict[tuple[int, ...], int] = {}
         self.basis = self._enumerate()
 
     def _bound(self, i: int) -> int:
@@ -165,10 +166,15 @@ class DenseOracle:
         return out
 
     def modulus(self, exps) -> int:
-        mod = 0
-        for k, rexps in self.relations:
-            if all(map(le, rexps, exps)):
-                mod = gcd(mod, k)
+        # each exponent vector is scanned once; _bound passes lists
+        key = tuple(exps)
+        mod = self._moduli.get(key)
+        if mod is None:
+            mod = 0
+            for k, rexps in self.relations:
+                if all(map(le, rexps, key)):
+                    mod = gcd(mod, k)
+            self._moduli[key] = mod
         return mod
 
     def sign(self, exps1, exps2) -> int:
@@ -331,30 +337,59 @@ def _check_ring_associativity(ctx: _Ctx) -> Iterator[None]:
     """Exhaustive over the ``|deg| <= 4`` monomials, then random elements.
 
     Skip rule: every product of two sub-window monomials is computed once,
-    into one table that serves both ``x*y`` and ``y*z``.  Where ``x*y = 0``
-    only the ``z`` with ``y*z != 0`` are multiplied; the other triples of
-    that row are counted without any product.  Proof that nothing is
-    lost: ``LoopModel.mul`` returns zero when an operand is zero, so for
-    such a triple ``(x*y)*z = 0*z = 0`` and ``x*(y*z) = x*0 = 0``, and
-    it passes.  A triple that is skipped therefore cannot fail, and the
-    triples that are checked keep the ``x, y, z`` order of a plain triple
-    loop, so the first failing triple, and the witness, are the same.
+    into one table that serves both ``x*y`` and ``y*z`` and holds an id
+    per distinct nonzero value, ``None`` for zero.  ``LoopModel.mul``
+    returns zero when an operand is zero, so a side with a zero factor
+    is zero and is not multiplied; a triple with ``x*y = 0`` and ``y*z =
+    0`` passes and is counted without any product.
+
+    Reuse: ``(x*y)*z`` is computed once per value of ``x*y`` and ``z`` (for
+    every ``z`` when the value first heads a row, as the row checks every
+    ``z``), and ``x*(y*z)`` once per ``x`` and value of ``y*z``, kept for
+    the current ``x`` only; zero is stored as ``None``.  That is at most
+    ``n^2 + 2*D*n`` products for ``n`` monomials with ``D`` distinct
+    nonzero products.  ``mul`` depends only on the model and its operands'
+    terms, so a memoised value is exactly what a plain triple loop
+    computes, and the comparisons keep its ``x, y, z`` order: the first
+    failing triple, the witness and the case count are the same.
     """
     model, rng = ctx.model, ctx.rng()
     small = [x for d, _, x in ctx.basis if abs(d) <= 4]
-    table = [[model.mul(x, y) for y in small] for x in small]
-    # per y, the z with y*z != 0, paired with that product
-    live = [[(z, yz) for z, yz in zip(small, row) if yz] for row in table]
+    ids: dict[frozenset, int] = {}
+    values: list[Element] = []  # the distinct nonzero products, by id
+
+    def intern(p: Element) -> int | None:
+        if not p:
+            return None
+        key = frozenset(p.terms.items())
+        if key not in ids:
+            ids[key] = len(values)
+            values.append(p)
+        return ids[key]
+
+    table = [[intern(model.mul(x, y)) for y in small] for x in small]
+    # per y, the z with y*z != 0, paired with the id of y*z
+    live = [[(z, yz) for z, yz in zip(small, row) if yz is not None] for row in table]
+    left: dict[int, list[Element | None]] = {}  # id of x*y -> (x*y)*z for each z
     for x, xy_row in zip(small, table):
+        right: dict[int, Element | None] = {}  # id of y*z -> x*(y*z)
+
+        def x_times(yz: int) -> Element | None:
+            if yz not in right:
+                right[yz] = model.mul(x, values[yz]) or None
+            return right[yz]
+
         for y, xy, yz_row, yz_live in zip(small, xy_row, table, live):
-            if xy:
-                for z, yz in zip(small, yz_row):
-                    if model.mul(xy, z) != model.mul(x, yz):
+            if xy is not None:
+                if xy not in left:
+                    left[xy] = [model.mul(values[xy], z) or None for z in small]
+                for z, yz, xy_z in zip(small, yz_row, left[xy]):
+                    if xy_z != (None if yz is None else x_times(yz)):
                         raise _Fail(f"({x})*({y})*({z})")
                     yield
                 continue
             for z, yz in yz_live:
-                if model.mul(x, yz):
+                if x_times(yz) is not None:
                     raise _Fail(f"({x})*({y})*({z})")
                 yield
             yield from itertools.repeat(None, len(small) - len(yz_live))

@@ -80,3 +80,42 @@ def corrupted_s4():
         c0={"a": 1},
     )
 
+
+@pytest.fixture(scope="session")
+def s2_cp2():
+    """The sphere:2 x cpn:2 presentation: two factors with the coprime
+    torsion primes 2 and 3, and four even generators."""
+    return LoopModel(
+        dim=6,
+        euler=6,
+        generators=[("b", -1), ("a", -2), ("v", 2), ("w", -1), ("c", -2), ("u", 4)],
+        relations=[
+            (1, {"a": 2}),
+            (1, {"a": 1, "b": 1}),
+            (2, {"a": 1, "v": 1}),
+            (1, {"c": 3}),
+            (3, {"c": 2, "u": 1}),
+            (1, {"w": 1, "c": 2}),
+        ],
+        c0={"a": 1, "c": 2},
+        simply_connected=True,
+    )
+
+
+@pytest.fixture
+def count_mul(monkeypatch):
+    """``count_mul(model)`` wraps ``model.mul`` for this test and returns
+    a one-item list holding the number of calls made since."""
+
+    def wrap(model):
+        calls = [0]
+        real = model.mul
+
+        def counted(a, b):
+            calls[0] += 1
+            return real(a, b)
+
+        monkeypatch.setattr(model, "mul", counted)
+        return calls
+
+    return wrap

@@ -45,11 +45,13 @@ def _value(draw, want):
 
 
 @st.composite
-def models(draw):
+def models(draw, euler=st.just(0)):
     """A random model: ``c`` of degree ``-dim`` and two to five generators
     of degree -3 to 5 in a drawn declaration order, caps, torsion
     relations, and a bracket value on every pair and a BV value on every
-    generator, zero unless all of its generators are active."""
+    generator, zero unless all of its generators are active.  The Euler
+    characteristic is drawn from ``euler`` when ``dim`` is even and is 0
+    otherwise; a nonzero one need not satisfy the coproduct laws."""
     dim = draw(st.integers(1, 4))
     drawn = draw(st.lists(st.integers(-3, 5), min_size=2, max_size=5))
     degrees = {"c": -dim, **{f"g{i}": d for i, d in enumerate(drawn)}}
@@ -72,7 +74,7 @@ def models(draw):
             bracket[key] = _value(draw, degrees[g] + degrees[h] + 1) if live else 0
     return LoopModel(
         dim=dim,
-        euler=0,
+        euler=draw(euler) if dim % 2 == 0 else 0,
         generators=draw(st.permutations(list(degrees.items()))),
         relations=relations,
         c0={"c": 1},

@@ -15,6 +15,8 @@ from loophom import (
     Monomial,
     checks,
     load_model,
+    parse_model,
+    print_model,
     run_checks,
 )
 from loophom.cli import main
@@ -235,6 +237,76 @@ def test_associativity_reports_the_first_corrupted_triple(
     assert result.status == "fail"
     assert result.witness == witness
     assert result.witness == _plain_associativity_witness(model, 1)
+
+
+def _law_result(model, law, window):
+    return dict(checks._LAWS)[law](checks._Ctx(model, window, 0))
+
+
+@pytest.mark.parametrize(
+    "side, witness",
+    [
+        # (c^2, a), (a, c^2), (a*c, c) and (c, a*c) all give a*c^2, and
+        # (c^2, a) comes first: its row fills the memo of (a*c^2)*z
+        ("left", "(c^2)*(a)*(a*c)"),
+        # x = a*c meets y*z = a*c^2 first at (c^2, a)
+        ("right", "(a*c)*(c^2)*(a)"),
+    ],
+)
+def test_associativity_memo_reports_a_shared_corrupted_value(
+    s2_cp2, monkeypatch, side, witness
+):
+    # p*q = q*p for the even monomials p = a*c and q = c; their product
+    # has degree -6, outside the |deg| <= 4 sub-window, so only the
+    # (x*y)*z and x*(y*z) memos ever multiply it
+    model = s2_cp2
+    p, q = model.mono_elem({"a": 1, "c": 1}), model.gen("c")
+    pq, r = model.mul(p, q), p
+    assert pq == model.mul(q, p)
+    _corrupt_products(monkeypatch, model, "mul", [(pq, r) if side == "left" else (r, pq)])
+    result = _law_result(model, "ring-associativity", 4)
+    assert (result.status, result.witness) == ("fail", witness)
+    assert result.witness == _plain_associativity_witness(model, 4)
+
+
+@pytest.mark.parametrize("fixture, window", [("s2_cp2", 1), ("s2_cp2", 4), ("odd_interleaved", 1)])
+def test_associativity_multiplies_each_distinct_value_once(
+    request, count_mul, fixture, window
+):
+    # n^2 products for the table, then at most D*n for (x*y)*z and D*n
+    # for x*(y*z), D the number of distinct nonzero products; the 80
+    # random triples take four products each
+    model = request.getfixturevalue(fixture)
+    small = [model.mono_elem(m) for d, m, _ in model.basis_window(window) if abs(d) <= 4]
+    n = len(small)
+    distinct = {frozenset(model.mul(x, y).terms.items()) for x in small for y in small}
+    d = len(distinct - {frozenset()})
+    calls = count_mul(model)
+    result = _law_result(model, "ring-associativity", window)
+    assert result.detail == f"{n**3 + 80} cases"
+    assert calls[0] <= n * n + 2 * d * n + 4 * 80
+
+
+def test_oracle_memo_does_not_hide_an_engine_modulus(s4, monkeypatch):
+    # a fresh model, so the corrupted cache entry reaches no shared basis
+    model = parse_model(print_model(s4)).model
+    av = model.monomial({"a": 1, "v": 1})
+    assert _law_result(model, "mul-oracle-agreement", 6).status == "pass"
+    monkeypatch.setitem(model._modulus_cache, av, 1)
+    result = _law_result(model, "mul-oracle-agreement", 6)
+    assert result.status == "fail"
+    assert result.witness.startswith("a * v: engine 0, oracle {(0, 1, 1): 1}")
+
+
+def test_oracle_modulus_takes_a_list_or_a_tuple(odd_interleaved, cp2):
+    for model in (odd_interleaved, cp2):
+        by_list, by_tuple = DenseOracle(model, 4), DenseOracle(model, 4)
+        exps = [e for vs in by_list.basis.values() for e in vs]
+        exps += [tuple(k + 1 for k in e) for e in exps]
+        for e in exps:
+            assert by_list.modulus(list(e)) == by_tuple.modulus(e)
+        for e in reversed(exps):
+            assert by_list.modulus(e) == by_tuple.modulus(list(e))
 
 
 def _plain_pair_witness(model, window, op, sign):
