@@ -26,7 +26,7 @@ each of its monomials, where coefficient 1 is canonical.
 
 from __future__ import annotations
 
-from math import gcd
+from math import gcd, prod
 from typing import Sequence
 
 from .algebra import Combination, Element, LoopModel, ModelError, Monomial
@@ -89,8 +89,15 @@ def tensor(factors: Sequence[Element]) -> TensorElement:
     return _expand(model, factors, 1)
 
 
+#: The most terms a tensor may expand into; ``_expand`` checks before building.
+MAX_TENSOR_TERMS = 10**6
+
+
 def _expand(model: LoopModel, factors: Sequence[Element], k: int) -> TensorElement:
     """``k`` times the pure tensor of ``factors``; its keys are distinct."""
+    size = prod(len(f.terms) for f in factors)
+    if size > MAX_TENSOR_TERMS:
+        raise ValueError(f"tensor of {size} terms exceeds the limit of {MAX_TENSOR_TERMS}")
     acc: dict[tuple[Monomial, ...], int] = {(): k}  # type: ignore[dict-item]
     for f in factors:
         acc = {ms + (m,): c * cf for ms, c in acc.items() for m, cf in f.terms.items()}

@@ -287,6 +287,20 @@ def test_associativity_multiplies_each_distinct_value_once(
     assert calls[0] <= n * n + 2 * d * n + 4 * 80
 
 
+def test_laws_yield_the_number_of_cases_they_settled(s2_cp2, bv_model):
+    # ring-associativity yields once per (x, y) row and once per random
+    # triple, so the triples passed by proof cost nothing to count
+    ctx = checks._Ctx(s2_cp2, 4, 0)
+    n = sum(1 for d, _, _ in ctx.basis if abs(d) <= 4)
+    counts = list(checks._check_ring_associativity(ctx))
+    assert len(counts) <= n * n + 80
+    assert sum(counts) == n**3 + 80
+    # with chi = 0 every bracket-torsion case holds, counted in one yield
+    ctx = checks._Ctx(bv_model, 4, 0)
+    assert bv_model.euler == 0
+    assert list(checks._check_bracket_torsion(ctx)) == [len(ctx.basis)]
+
+
 def test_oracle_memo_does_not_hide_an_engine_modulus(s4, monkeypatch):
     # a fresh model, so the corrupted cache entry reaches no shared basis
     model = parse_model(print_model(s4)).model

@@ -53,6 +53,9 @@ bracket [a,v] = 1
 # Python converts integers of at most 4,300 digits to text by default
 _TOO_LONG = "the coefficient of {} has more than 4300 digits, too many to print"
 
+# 1 + v + ... + v^200: its third tensor power has 201^3 terms
+_X201 = "+".join(["1"] + [f"v^{k}" for k in range(1, 201)])
+
 
 def run_cli(*args, **kwargs):
     return subprocess.run(
@@ -134,6 +137,10 @@ def test_eval_json_element():
             ["tqft", "--model", "sphere:4", "--genus", "0", "--in", "1", "--out", "2", "2^20000"],
             _TOO_LONG.format("(a (x) a)"),
         ),
+        (
+            ["eval", "--model", "sphere:4", " (x) ".join([_X201] * 3)],
+            "tensor of 8120601 terms exceeds the limit of 1000000",
+        ),
     ],
     ids=[
         "add-arities",
@@ -150,6 +157,7 @@ def test_eval_json_element():
         "print-huge-coefficient",
         "json-huge-coefficient",
         "tqft-huge-coefficient",
+        "tensor-too-large",
     ],
 )
 def test_error_paths_exit_two_with_one_line(argv, error):

@@ -4,6 +4,7 @@ import pytest
 
 from loophom import (
     ModelError,
+    coalgebra,
     apply_delta_factorwise,
     apply_psi,
     contract,
@@ -77,6 +78,18 @@ def test_arity_one_interconversion(s4):
     assert t.as_element() == x
     with pytest.raises(ValueError, match="arity-2"):
         tensor([x, x]).as_element()
+
+
+def test_tensor_size_limit(s4, monkeypatch):
+    # the limit bounds the product of the factors' term counts: 2*4 = 8 is
+    # built, 3*3 = 9 is refused
+    monkeypatch.setattr(coalgebra, "MAX_TENSOR_TERMS", 8)
+    v = [s4.mono_elem({"v": k}) for k in range(1, 5)]
+    two, three, four = v[0] + v[1], v[0] + v[1] + v[2], v[0] + v[1] + v[2] + v[3]
+    assert len(tensor([two, four]).terms) == 8
+    with pytest.raises(ValueError) as exc:
+        tensor([three, three])
+    assert str(exc.value) == "tensor of 9 terms exceeds the limit of 8"
 
 
 def test_tensor_multilinear_expansion(s4):
