@@ -29,12 +29,12 @@ dict and reduces it once.
 Product signs: concatenating two monomials and sorting the letters back
 into declaration order moves each odd letter of the right factor past
 the odd letters of the left factor with a larger index, and each such
-swap contributes -1 (even letters commute freely).  ``mono_mul`` reads
-the odd generators present in each factor into bitmasks ``odd1`` and
-``odd2``; the product dies when the masks overlap (an odd generator
-squared), and otherwise the sign is -1 raised to the number of such
-inversions: for each set bit ``low`` of ``odd2``, the bits of ``odd1``
-above it, ``(odd1 & ~((low << 1) - 1)).bit_count()``.
+swap contributes -1 (even letters commute freely).  ``mul`` and
+``mono_mul`` find the sign in one scan of the odd generators, from the
+last declared to the first, keeping the parity of the left factor's odd
+letters seen so far: the product dies at an odd generator present in
+both factors (it squares), and the sign flips at each odd letter of the
+right factor while that parity is odd.
 
 Bracket and BV operator in closed form: the bracket is a biderivation and
 the BV operator ``D`` is second order, so both follow from ``B_kl =
@@ -277,6 +277,8 @@ class Combination:
         """``k`` times this combination."""
         if not isinstance(k, int):
             raise ModelError(f"scalar must be an integer, got {k!r}")
+        if k == 1:  # values are immutable, so one can stand for its copy
+            return self
         return self._make({key: k * c for key, c in self.terms.items()})
 
     def __neg__(self):
@@ -466,7 +468,8 @@ class LoopModel:
         self.generators: tuple[GeneratorSpec, ...] = tuple(gens)
         self._index = {g.name: i for i, g in enumerate(gens)}
         self._degrees = tuple(g.degree for g in gens)
-        self._odd_idx = tuple(i for i, g in enumerate(gens) if g.is_odd)
+        # descending, for the sign scan of ``mul`` and ``mono_mul``
+        self._odd_idx = tuple(i for i in reversed(range(len(gens))) if gens[i].is_odd)
 
         rels: list[Relation] = []
         for pos, item in enumerate(relations, 1):
@@ -770,23 +773,22 @@ class LoopModel:
     def mono_mul(self, m1: Monomial, m2: Monomial) -> tuple[int, Monomial] | None:
         """Product of normal-form monomials with its Koszul sign; None if
         an odd generator squares."""
-        odd1 = odd2 = 0
+        sign = 1
+        left_odd = False  # parity of m1's odd letters above the scan
         for i in self._odd_idx:
             if m1[i]:
                 if m2[i]:
                     return None
-                odd1 |= 1 << i
-            elif m2[i]:
-                odd2 |= 1 << i
-        inversions = 0
-        while odd2:
-            low = odd2 & -odd2
-            inversions += (odd1 & ~((low << 1) - 1)).bit_count()
-            odd2 ^= low
-        return (-1 if inversions & 1 else 1), tuple(map(add, m1, m2))
+                left_odd = not left_odd
+            elif left_odd and m2[i]:
+                sign = -sign
+        return sign, tuple(map(add, m1, m2))
 
     def mul(self, x: Element, y: Element) -> Element:
-        """Loop product: bilinear extension of signed monomial concatenation."""
+        """Loop product: bilinear extension of signed monomial concatenation.
+
+        Each term pair's sign is found by the scan of ``mono_mul``, written
+        out here; the raw sum is reduced once."""
         if not (
             isinstance(x, Element)
             and x.model is self
@@ -797,15 +799,22 @@ class LoopModel:
         xt, yt = x.terms, y.terms
         if not xt or not yt:
             return Element(self, {})
-        mono_mul = self.mono_mul
+        odd_idx = self._odd_idx
         acc: dict[Monomial, int] = {}
         for m1, c1 in xt.items():
             for m2, c2 in yt.items():
-                hit = mono_mul(m1, m2)
-                if hit is None:
-                    continue
-                sign, m = hit
-                acc[m] = acc.get(m, 0) + sign * c1 * c2
+                c = c1 * c2
+                left_odd = False
+                for i in odd_idx:
+                    if m1[i]:
+                        if m2[i]:
+                            break
+                        left_odd = not left_odd
+                    elif left_odd and m2[i]:
+                        c = -c
+                else:
+                    m = tuple(map(add, m1, m2))
+                    acc[m] = acc.get(m, 0) + c
         return self.from_raw(acc)
 
     # -- grading ------------------------------------------------------------

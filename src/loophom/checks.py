@@ -231,9 +231,14 @@ class _Ctx:
         return random.Random(self.seed)
 
     def random_element(self, rng: random.Random, max_terms: int = 3, coeff: int = 4) -> Element:
-        k = rng.randint(0, max_terms)
-        pairs = [(rng.randint(-coeff, coeff), rng.choice(self.basis)[1]) for _ in range(k)]
-        return self.model.normal_form(pairs)
+        """Up to ``max_terms`` drawn ``(coefficient, basis monomial)``
+        pairs, summed; the basis monomials are canonical already."""
+        acc: dict[Monomial, int] = {}
+        for _ in range(rng.randint(0, max_terms)):
+            c = rng.randint(-coeff, coeff)
+            m = rng.choice(self.basis)[1]
+            acc[m] = acc.get(m, 0) + c
+        return self.model.from_raw(acc)
 
     def fmt(self, m: Monomial) -> str:
         return self.model.format_monomial(m)
@@ -569,15 +574,33 @@ def _check_coproduct_forms_agree(ctx: _Ctx) -> Iterator[int]:
 
 
 def _integer_multiple_of(t, base):
-    """k with t == k * base, or None."""
+    """k with t == k * base, or None.
+
+    Each key of ``base``, with coefficient ``c`` there and ``v`` in ``t``,
+    asks ``k*c = v`` modulo the key's modulus, the gcd of its factors'.
+    A free key (modulus 0) fixes ``k``.  Otherwise each congruence is
+    solved for ``k`` and the solutions are combined by the Chinese
+    remainder theorem into ``k = r`` modulo ``n``: every ``k`` that fits
+    the keys of ``base`` is ``r`` plus a multiple of ``n``, and gives the
+    same ``k * base``.  A congruence with no solution, or a key of ``t``
+    that ``base`` lacks, fails the closing comparison."""
     if not base.terms:
         return 0 if not t.terms else None
-    key, c = base.sorted_terms()[0]
-    v = t.terms.get(key, 0)
-    if v % c:
-        return None
-    k = v // c
-    return k if t == base.scaled(k) else None
+    modulus = base.model.modulus
+    r, n = 0, 1
+    for key, c in base.terms.items():
+        v = t.terms.get(key, 0)
+        mod = gcd(*map(modulus, key))
+        if not mod:
+            r = v // c
+            break
+        g = gcd(c, mod)
+        mod //= g
+        r2 = v // g * pow(c // g, -1, mod) % mod  # k = r2 modulo mod
+        g = gcd(n, mod)
+        r += n * ((r2 - r) // g * pow(n // g, -1, mod // g) % (mod // g))
+        n = n // g * mod
+    return r if t == base.scaled(r) else None
 
 
 @_law("coproduct-concentration", chi_tag=True)

@@ -13,15 +13,20 @@ degree -d in the homological grading, and odd d forces the Euler
 characteristic chi = 0, so psi = 0.  Only ``apply_delta_factorwise``, for
 the BV operator of degree 1, applies the prefactor.
 
-Each public call reduces once, at the end: ``tensor`` and ``contract``
-(which multiplies monomials with ``LoopModel.mono_mul``) add raw
-coefficients.  This is exact.  A relation ``k*m' = 0`` dividing a
-monomial divides its products, so a product's modulus divides its
-factors' moduli; a pure tensor's modulus, the gcd over its factors,
-divides each of theirs (0 is free, and every integer divides 0).  So the
-modulus N of a final key divides the modulus M of all it came from, and
-``(c mod M) mod N = c mod N``.  As N != 1 on a surviving key, M != 1 on
-each of its monomials, where coefficient 1 is canonical.
+Each public call reduces once, at the end: ``tensor``, ``contract``
+(which multiplies monomials with ``LoopModel.mono_mul``) and
+``apply_psi`` (which adds ``chi * c * c1 * c2`` for each term ``c`` of
+its input, ``c1`` of ``c0*m`` and ``c2`` of ``c0``, in place of the
+reduced coefficient of the key of ``psi(m)``) add raw coefficients.
+This is exact.  A relation ``k*m' = 0`` dividing a monomial divides its
+products, so a product's modulus divides its factors' moduli; a pure
+tensor's modulus, the gcd over its factors, divides each of theirs (0 is
+free, and every integer divides 0).  So the modulus N of a final key
+divides the modulus M of all it came from, and ``(c mod M) mod N = c mod
+N``.  As N != 1 on a surviving key, M != 1 on each of its monomials,
+where coefficient 1 is canonical.  The same holds with N = M: the tensor
+of one element, by 1, keeps that element's terms, as a monomial's
+modulus is its 1-tensor's.
 """
 
 from __future__ import annotations
@@ -38,8 +43,7 @@ class TensorElement(Combination):
     __slots__ = ("arity",)
 
     def __init__(self, model: LoopModel, arity: int, terms: dict[tuple[Monomial, ...], int]):
-        super().__init__(model, terms)
-        self.arity = arity
+        self.model, self.arity, self.terms = model, arity, terms
 
     def _make(self, acc: dict[tuple[Monomial, ...], int]) -> "TensorElement":
         return _from_raw(self.model, self.arity, acc)
@@ -63,9 +67,14 @@ def tensor_zero(model: LoopModel, arity: int) -> TensorElement:
 
 
 def _from_raw(model: LoopModel, arity: int, acc: dict[tuple[Monomial, ...], int]) -> TensorElement:
+    """The tensor of a raw key dict, each coefficient reduced once."""
+    cache, modulus = model._modulus_cache, model.modulus
     terms: dict[tuple[Monomial, ...], int] = {}
     for ms, c in acc.items():
-        mod = gcd(*map(model.modulus, ms))
+        mod = 0
+        for m in ms:
+            mod_m = cache.get(m)
+            mod = gcd(mod, modulus(m) if mod_m is None else mod_m)
         if mod:
             c %= mod
         if c:
@@ -93,11 +102,18 @@ def tensor(factors: Sequence[Element]) -> TensorElement:
 MAX_TENSOR_TERMS = 10**6
 
 
-def _expand(model: LoopModel, factors: Sequence[Element], k: int) -> TensorElement:
-    """``k`` times the pure tensor of ``factors``; its keys are distinct."""
-    size = prod(len(f.terms) for f in factors)
+def _check_size(size: int) -> None:
+    """Refuse a tensor of more than ``MAX_TENSOR_TERMS`` terms."""
     if size > MAX_TENSOR_TERMS:
         raise ValueError(f"tensor of {size} terms exceeds the limit of {MAX_TENSOR_TERMS}")
+
+
+def _expand(model: LoopModel, factors: Sequence[Element], k: int) -> TensorElement:
+    """``k`` times the pure tensor of ``factors``; its keys are distinct."""
+    _check_size(prod(len(f.terms) for f in factors))
+    if k == 1 and len(factors) == 1:
+        # a monomial's modulus is its 1-tensor's: the terms stay canonical
+        return TensorElement(model, 1, {(m,): c for m, c in factors[0].terms.items()})
     acc: dict[tuple[Monomial, ...], int] = {(): k}  # type: ignore[dict-item]
     for f in factors:
         acc = {ms + (m,): c * cf for ms, c in acc.items() for m, cf in f.terms.items()}
@@ -178,16 +194,22 @@ def psi_split(model: LoopModel, factors: Sequence[Element], ell: int = 0) -> Ten
 
 
 def apply_psi(t: TensorElement, slot: int) -> TensorElement:
-    """Apply the coproduct to one factor, raising the arity by 1."""
+    """Apply the coproduct to one factor, raising the arity by 1: each
+    term's factor ``m`` becomes ``chi * (c0*m) (x) c0``, as in :func:`psi`,
+    and the sum is reduced once."""
     if not 1 <= slot <= t.arity:
         raise ValueError(f"slot {slot} out of range for arity {t.arity}")
     model = t.model
+    c0 = model.c0
     acc: dict[tuple[Monomial, ...], int] = {}
     for ms, c in t.terms.items():
-        expanded = psi(model, Element(model, {ms[slot - 1]: 1}))
-        for (p1, p2), pc in expanded.terms.items():
-            key = ms[: slot - 1] + (p1, p2) + ms[slot:]
-            acc[key] = acc.get(key, 0) + c * pc
+        left = model.mul(c0, Element(model, {ms[slot - 1]: 1}))
+        _check_size(len(left.terms) * len(c0.terms))
+        head, tail, k = ms[: slot - 1], ms[slot:], model.euler * c
+        for p1, c1 in left.terms.items():
+            for p2, c2 in c0.terms.items():
+                key = head + (p1, p2) + tail
+                acc[key] = acc.get(key, 0) + k * c1 * c2
     return _from_raw(model, t.arity + 1, acc)
 
 

@@ -309,6 +309,51 @@ def test_mul_associative_and_distributive(cp2, data):
     assert cp2.mul(x, cp2.add(y, z)) == cp2.add(cp2.mul(x, y), cp2.mul(x, z))
 
 
+def _assert_mul_matches_references(model, x, y):
+    # the term-by-term mono_mul sum, and the oracle's, each reduced once
+    oracle = DenseOracle(model, 0)
+    acc, raw = {}, []
+    for m1, c1 in x.terms.items():
+        for m2, c2 in y.terms.items():
+            hit = model.mono_mul(m1, m2)
+            if hit is not None:
+                acc[hit[1]] = acc.get(hit[1], 0) + hit[0] * c1 * c2
+            want = oracle.multiply(m1, m2)
+            if want is not None:
+                raw.append((want[0] * c1 * c2, want[1]))
+    got = model.mul(x, y)
+    assert got == model.from_raw(acc)
+    assert got.terms == oracle.reduce(raw)
+    return got
+
+
+def test_mul_of_multi_term_elements(odd_interleaved):
+    model = odd_interleaved
+    x, a, y, v, z, t = (model.gen(g.name) for g in model.generators)
+    # odd letters anticommute, so the cross terms cancel: (x+y)^2 = 0
+    assert _assert_mul_matches_references(model, x + y, x + y) == 0
+    # a^2 = 0, and a*v - v*a cancels
+    assert _assert_mul_matches_references(model, a + v, a - v) == -(v * v)
+    # four odd generators: signs of several inversions at once
+    left = x * t + 2 * y * v - 3 * z + a * x
+    right = y * z - t + 5 * x * v * v + 1
+    for p, q in ((left, right), (right, left), (left, left), (right * right, left)):
+        _assert_mul_matches_references(model, p, q)
+
+
+@settings(max_examples=60, deadline=None)
+@given(models(euler=st.integers(-3, 3)), st.data())
+def test_mul_of_multi_term_elements_on_random_models(model, data):
+    x = data.draw(elements(model, window=4, max_terms=5))
+    y = data.draw(elements(model, window=4, max_terms=5))
+    _assert_mul_matches_references(model, x, y)
+    # (p + q)(q - s*p) with q*p = s*p*q: the two cross terms cancel
+    basis = window_monomials(model, 4)
+    p, q = (model.mono_elem(data.draw(st.sampled_from(basis))) for _ in range(2))
+    s = -1 if model.monomial_degree(*p.terms) * model.monomial_degree(*q.terms) % 2 else 1
+    _assert_mul_matches_references(model, p + q, q - s * p)
+
+
 def test_power_operator(cp2):
     c = cp2.gen("c")
     assert c**2 == cp2.mul(c, c)

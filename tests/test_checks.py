@@ -18,6 +18,7 @@ from loophom import (
     parse_model,
     print_model,
     run_checks,
+    tensor,
 )
 from loophom.cli import main
 
@@ -301,6 +302,42 @@ def test_laws_yield_the_number_of_cases_they_settled(s2_cp2, bv_model):
     assert list(checks._check_bracket_torsion(ctx)) == [len(ctx.basis)]
 
 
+@pytest.mark.parametrize("fixture", ["s2", "odd_interleaved"])
+def test_random_elements_are_drawn_as_by_normal_form(request, fixture):
+    # the same rng calls in the same order as normal_form over drawn pairs
+    model = request.getfixturevalue(fixture)
+    ctx = checks._Ctx(model, 4, 7)
+    rng, ref = ctx.rng(), ctx.rng()
+    for i in range(300):
+        max_terms = 2 + i % 2
+        k = ref.randint(0, max_terms)
+        want = model.normal_form(
+            [(ref.randint(-4, 4), ref.choice(ctx.basis)[1]) for _ in range(k)]
+        )
+        assert ctx.random_element(rng, max_terms=max_terms) == want
+    assert rng.getstate() == ref.getstate()
+
+
+def test_integer_multiple_of_solves_modulo_each_key():
+    # a, b and c are 4-, 6- and 9-torsion: the keys of base ask k mod 4,
+    # 2*k mod 6 (so k mod 3) and k mod 9, which combine to k mod 36
+    model = LoopModel(
+        dim=2,
+        euler=0,
+        generators=[("a", -2), ("b", -2), ("c", -2)],
+        relations=[(1, {"a": 2}), (1, {"b": 2}), (1, {"c": 2}), (4, {"a": 1}), (6, {"b": 1}), (9, {"c": 1})],
+        c0={"a": 1},
+    )
+    a, b, c, one = model.gen("a"), model.gen("b"), model.gen("c"), model.unit()
+    base = tensor([a + 2 * b + c, one])
+    for k in range(-40, 41):
+        found = checks._integer_multiple_of(base.scaled(k), base)
+        assert found is not None and base.scaled(found) == base.scaled(k)
+    # 2*k = 1 mod 6; k = 1 mod 3 against k = 0 mod 9; a key that base lacks
+    for t in (tensor([b, one]), tensor([2 * b, one]), base + tensor([b, b])):
+        assert checks._integer_multiple_of(t, base) is None
+
+
 def test_oracle_memo_does_not_hide_an_engine_modulus(s4, monkeypatch):
     # a fresh model, so the corrupted cache entry reaches no shared basis
     model = parse_model(print_model(s4)).model
@@ -491,8 +528,10 @@ def test_check_records_are_mutable_and_unhashable():
             hash(record)
 
 
-# Two presentations whose details no built-in reaches: bracket data with
-# chi = 0, and brackets on a model that is not simply connected.
+# Three presentations whose details no built-in reaches: bracket data with
+# chi = 0, brackets on a model that is not simply connected, and a c0 of
+# coefficient 2 on a 5-torsion class, where psi(1) = 2*(2a (x) 2a) is
+# 3*(a (x) a): 2 times c0 (x) c0 modulo 5, not over Z.
 BV_DATA_TEXT = """\
 dim = 3
 euler = 0
@@ -578,14 +617,57 @@ PASS model-round-trip (1 cases)
 result: PASS (25 passed, 0 failed, 0 skipped)
 """
 
+TORSION_C0_TEXT = """\
+dim = 2
+euler = 2
+generator a deg = -2
+generator v deg = 2
+relation 1 * a^2
+relation 5 * a
+relation 1 * a*v
+c0 = 2*a
+"""
+
+TORSION_C0_REPORT = """\
+window: 6
+seed: 0
+PASS normal-form-idempotent (60 cases)
+PASS normal-form-order-independence (40 cases)
+PASS ring-unit-law (5 cases)
+PASS ring-associativity (144 cases)
+PASS ring-distributivity (80 cases)
+PASS graded-commutativity (25 cases)
+PASS mul-oracle-agreement (25 cases)
+PASS torsion-identity (5 cases)
+SKIP bracket-unit (no bracket data)
+SKIP bracket-antisymmetry (no bracket data)
+SKIP bracket-torsion (no bracket data)
+SKIP delta-squared (no BV-operator data)
+SKIP delta-bv-residual (no BV-operator data)
+PASS coproduct-symmetry (5 cases)
+PASS coproduct-forms-agree (5 cases)
+PASS coproduct-concentration (5 cases)
+PASS coproduct-frobenius (50 cases)
+PASS coproduct-coassociativity (5 cases)
+SKIP coproduct-delta-factorwise (no BV-operator data)
+SKIP coproduct-kills-geometric-brackets (no bracket data)
+PASS surface-closed-vs-pants (324 cases)
+PASS surface-functoriality (150 cases)
+PASS surface-degree-shift (162 cases)
+PASS surface-certificate-sew (60 cases)
+PASS model-round-trip (1 cases)
+result: PASS (18 passed, 0 failed, 7 skipped)
+"""
+
 
 @pytest.mark.parametrize(
     "text, report, code",
     [
         (BV_DATA_TEXT, BV_DATA_REPORT, 1),
         (TOY_NOT_SIMPLY_CONNECTED_TEXT, TOY_NOT_SIMPLY_CONNECTED_REPORT, 0),
+        (TORSION_C0_TEXT, TORSION_C0_REPORT, 0),
     ],
-    ids=["bv-data-chi-zero", "toy-bv0-not-simply-connected"],
+    ids=["bv-data-chi-zero", "toy-bv0-not-simply-connected", "c0-coefficient-on-torsion"],
 )
 def test_check_text_pinned_where_no_builtin_reaches(tmp_path, capsys, text, report, code):
     path = tmp_path / "pinned.model"

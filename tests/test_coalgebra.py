@@ -3,6 +3,8 @@
 import pytest
 
 from loophom import (
+    Element,
+    LoopModel,
     ModelError,
     coalgebra,
     apply_delta_factorwise,
@@ -86,10 +88,24 @@ def test_tensor_size_limit(s4, monkeypatch):
     monkeypatch.setattr(coalgebra, "MAX_TENSOR_TERMS", 8)
     v = [s4.mono_elem({"v": k}) for k in range(1, 5)]
     two, three, four = v[0] + v[1], v[0] + v[1] + v[2], v[0] + v[1] + v[2] + v[3]
+    nine = sum(s4.mono_elem({"v": k}) for k in range(1, 10))
+    # c0 = a + b + c: psi of each term is a 3x3 tensor, refused even at chi = 0
+    three_c0 = LoopModel(
+        dim=2,
+        euler=0,
+        generators=[("a", -2), ("b", -2), ("c", -2)],
+        relations=[(1, {"a": 2}), (1, {"b": 2}), (1, {"c": 2})],
+        c0=[(1, {"a": 1}), (1, {"b": 1}), (1, {"c": 1})],
+    )
     assert len(tensor([two, four]).terms) == 8
-    with pytest.raises(ValueError) as exc:
-        tensor([three, three])
-    assert str(exc.value) == "tensor of 9 terms exceeds the limit of 8"
+    for refused in (
+        lambda: tensor([three, three]),
+        lambda: tensor([nine]),
+        lambda: apply_psi(tensor([three_c0.unit()]), 1),
+    ):
+        with pytest.raises(ValueError) as exc:
+            refused()
+        assert str(exc.value) == "tensor of 9 terms exceeds the limit of 8"
 
 
 def test_tensor_multilinear_expansion(s4):
@@ -327,6 +343,35 @@ def test_coproduct_kills_geometric_brackets(toy, bv_model):
             for _, mono, _ in model.basis_window(8):
                 value = psi(model, model.bracket(g, model.mono_elem(mono)))
                 assert value == 0
+
+
+def _apply_psi_by_terms(t, slot):
+    # psi of each term's factor, spliced in with the term's coefficient
+    model = t.model
+    out = tensor_zero(model, t.arity + 1)
+    for ms, c in t.terms.items():
+        for (p1, p2), pc in psi(model, Element(model, {ms[slot - 1]: 1})).terms.items():
+            factors = ms[: slot - 1] + (p1, p2) + ms[slot:]
+            out = out + tensor([model.mono_elem(m) for m in factors]).scaled(c * pc)
+    return out
+
+
+def test_apply_psi_on_a_two_term_c0_with_torsion():
+    # a*v is 4-torsion and b*v 6-torsion; a*(b*v) = b*(a*v) meet in one key
+    model = LoopModel(
+        dim=2,
+        euler=2,
+        generators=[("a", -2), ("b", -2), ("v", 2)],
+        relations=[(1, {"a": 2}), (1, {"b": 2}), (4, {"a": 1, "v": 1}), (6, {"b": 1, "v": 1})],
+        c0=[(1, {"a": 1}), (2, {"b": 1})],
+    )
+    a, b, v = model.gen("a"), model.gen("b"), model.gen("v")
+    x = 1 + v + 3 * a * v + 5 * b * v - v * v
+    t = tensor([x, v + 2 * b]) + tensor([a * v + b * v, v * v]).scaled(3)
+    assert apply_psi(tensor([x]), 1) == psi(model, x) != 0
+    for slot in (1, 2):
+        assert apply_psi(t, slot) == _apply_psi_by_terms(t, slot) != 0
+    assert apply_psi(psi(model, x), 1) == _apply_psi_by_terms(psi(model, x), 1)
 
 
 def test_apply_psi_slot_range(s4):
