@@ -75,6 +75,9 @@ RESERVED_NAMES = frozenset({"psi", "delta", "bracket", "mu"})
 
 _NAME_RE = re.compile(r"[A-Za-z_]\w*\Z")
 
+#: The most steps one basis enumeration may take (see ``_basis_between``).
+MAX_BASIS_STEPS = 10**6
+
 
 def parse_int(text: str) -> int:
     """``int(text)`` of decimal digits, with a leading ``-`` where the
@@ -346,10 +349,6 @@ class Element(Combination):
         return out
 
 
-# a right-hand side whose callable raised; its problem is already recorded
-_FAILED = object()
-
-
 def _sign(exponent: int) -> int:
     """``(-1) ** exponent``."""
     return -1 if exponent & 1 else 1
@@ -389,11 +388,13 @@ class LoopModel:
         values.  Each of these values is an element, an integer, a
         monomial mapping, a list of ``(coefficient, monomial)`` pairs, or
         a callable ``f(model) -> Element`` that builds the value in the
-        model being defined.  Callables run once the generators and
-        relations are set up, before any value is checked, in the order
-        c0, delta, bracket; a ``ValueError`` one raises, like a value of
-        none of these forms, is recorded as a problem under that value's
-        where-tag.
+        model being defined.  Each value is read once, where it is
+        checked, so callables run in check order: c0, then each bracket
+        value, then each delta value.  A ``ValueError`` one raises, like a
+        value of none of these forms, is recorded as a problem under that
+        value's where-tag.  A value whose entry is refused first (a bad
+        bracket key, an unknown generator, delta data without bracket
+        data) is never evaluated.
 
         Problems in the generators, then in the relations, then in the
         nilpotence caps end the check early; the other data are checked
@@ -526,27 +527,6 @@ class LoopModel:
     def _set_data(self, c0, delta, bracket) -> None:
         """The constant-loop class, bracket and BV-operator values."""
         problems: list = []
-
-        def call(raw, *where):
-            try:
-                return raw(self)
-            except ValueError as exc:
-                problems.append((where, str(exc)))
-                return _FAILED
-
-        if callable(c0):
-            c0 = call(c0, "c0")
-        if delta is not None:
-            delta = dict(delta)
-            for name, raw in delta.items():
-                if callable(raw):
-                    delta[name] = call(raw, "delta", name)
-        if bracket is not None:
-            bracket = dict(bracket)
-            for key, raw in bracket.items():
-                if callable(raw):
-                    bracket[key] = call(raw, "bracket", *key)
-
         if c0 is None:
             problems.append((("c0",), "c0 required"))
         else:
@@ -651,18 +631,20 @@ class LoopModel:
             raise ModelError(problems)
 
     def _checked(self, raw, where, what, want, problems, zero_ok=True) -> Element | None:
-        """``raw`` as an element homogeneous of degree ``want`` (or zero,
-        when ``zero_ok``); None once a problem is recorded under ``where``."""
-        if raw is _FAILED:
-            return None
+        """``raw``, called first when it is callable, as an element
+        homogeneous of degree ``want`` (or zero, when ``zero_ok``); None
+        once a problem, such as a ``ValueError`` raised on the way, is
+        recorded under ``where``."""
         try:
+            if callable(raw):
+                raw = raw(self)
             if isinstance(raw, int):
                 value = raw * self.unit()
             elif isinstance(raw, Mapping):
                 value = self.mono_elem(raw)
             else:
                 value = self.normal_form(raw)
-        except ModelError as exc:
+        except ValueError as exc:
             problems.append((where, str(exc)))
             return None
         deg = self.degree_of(value)
@@ -862,14 +844,23 @@ class LoopModel:
         positive ones, each up to its cap and to the degree left below
         ``hi``.  The last positive exponent takes only the values that land
         the degree in ``[lo, hi]``, so the work is one step per choice of
-        the other exponents plus one per monomial found."""
+        the other exponents plus one per monomial found.  Each step is
+        counted, and a ValueError refuses an enumeration that takes more
+        than ``MAX_BASIS_STEPS`` of them."""
         degs, caps = self._degrees, self._caps
         order = sorted(range(len(degs)), key=lambda i: degs[i] > 0)
         last = len(order) - 1
         vec = [0] * len(degs)
         out: list[tuple[int, Monomial, int]] = []
+        steps = 0
 
         def visit(pos: int, deg: int) -> None:
+            nonlocal steps
+            steps += 1
+            if steps > MAX_BASIS_STEPS:
+                raise ValueError(
+                    f"basis of degrees {lo} to {hi} takes more than {MAX_BASIS_STEPS} steps to enumerate"
+                )
             if pos > last:
                 if lo <= deg <= hi:
                     m = tuple(vec)

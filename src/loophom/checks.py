@@ -230,12 +230,13 @@ class _Ctx:
     def rng(self) -> random.Random:
         return random.Random(self.seed)
 
-    def random_element(self, rng: random.Random, max_terms: int = 3, coeff: int = 4) -> Element:
+    def random_element(self, rng: random.Random, max_terms: int = 3) -> Element:
         """Up to ``max_terms`` drawn ``(coefficient, basis monomial)``
-        pairs, summed; the basis monomials are canonical already."""
+        pairs with coefficients in ``-4..4``, summed; the basis monomials
+        are canonical already."""
         acc: dict[Monomial, int] = {}
         for _ in range(rng.randint(0, max_terms)):
-            c = rng.randint(-coeff, coeff)
+            c = rng.randint(-4, 4)
             m = rng.choice(self.basis)[1]
             acc[m] = acc.get(m, 0) + c
         return self.model.from_raw(acc)

@@ -19,10 +19,8 @@ import json
 import sys
 
 from .algebra import Element
-from .coalgebra import TensorElement
-from .expr import EvalError, parse_expr, evaluate
+from .expr import EvalError, MuCall, evaluate, parse_expr, run_expr
 from .modelfile import ModelParseError, load_model
-from .tqft import Surface, string_operation
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -94,8 +92,7 @@ def _print_value(args, value, payload: dict) -> int:
 
 def _cmd_eval(args) -> int:
     doc = load_model(args.model)
-    ast = parse_expr(args.expr, doc.model)
-    value = evaluate(doc.model, ast)
+    value = run_expr(doc.model, args.expr)
     return _print_value(args, value, {"model": doc.provenance, "expr": args.expr})
 
 
@@ -125,21 +122,13 @@ def _cmd_tqft(args) -> int:
         raise EvalError(
             f"surface expects {args.n_in} inputs but {len(args.exprs)} expressions were given"
         )
-    surface = Surface(args.genus, args.n_in, args.n_out)
-    inputs = []
-    for text in args.exprs:
-        value = evaluate(doc.model, parse_expr(text, doc.model))
-        if isinstance(value, TensorElement):
-            raise EvalError("surface inputs must be scalar elements")
-        inputs.append(value)
-    value = string_operation(doc.model, surface, inputs)
-    if value.arity == 1:
-        value = value.as_element()
+    inputs = tuple(parse_expr(text, doc.model) for text in args.exprs)
+    value = evaluate(doc.model, MuCall(args.genus, args.n_in, args.n_out, inputs))
     payload = {
         "model": doc.provenance,
-        "genus": surface.genus,
-        "inputs": surface.inputs,
-        "outputs": surface.outputs,
+        "genus": args.genus,
+        "inputs": args.n_in,
+        "outputs": args.n_out,
     }
     return _print_value(args, value, payload)
 

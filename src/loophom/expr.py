@@ -151,6 +151,10 @@ def _tokenize(text: str) -> list[tuple[str, int]]:
 #: token that opens level ``MAX_NESTING + 1``.
 MAX_NESTING = 150
 
+#: Most bits an integer power may take: ``n^k`` with ``|n| > 1`` is refused,
+#: before it is computed, when ``k`` times the bit length of ``n`` exceeds it.
+MAX_POWER_BITS = 2**20
+
 
 class _Parser:
     """Recursive descent over token text: ``(x)`` is the tensor sign, text
@@ -345,6 +349,12 @@ def _eval(model: LoopModel, ast: ExprAst, allow_calls: bool) -> Value:
         base = _eval(model, ast.base, allow_calls)
         if isinstance(base, TensorElement):
             base = _as_element(model, base, "power base")
+        elif isinstance(base, int) and abs(base) > 1:
+            bits = ast.exponent * abs(base).bit_length()
+            if bits > MAX_POWER_BITS:
+                raise EvalError(
+                    f"integer power may take {bits} bits, more than the limit of {MAX_POWER_BITS}"
+                )
         return base**ast.exponent
     if isinstance(ast, TensorExpr):
         if not allow_calls:
@@ -374,7 +384,7 @@ def _eval(model: LoopModel, ast: ExprAst, allow_calls: bool) -> Value:
         except ValueError as exc:
             raise EvalError(str(exc)) from exc
         args = [
-            _as_element(model, _eval(model, a, allow_calls), "argument of mu")
+            _as_element(model, _eval(model, a, allow_calls), "surface input")
             for a in ast.args
         ]
         try:

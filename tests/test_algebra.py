@@ -17,6 +17,8 @@ from loophom import (
     LoopModel,
     ModelError,
     Relation,
+    algebra,
+    load_model,
     validate_model,
 )
 
@@ -131,6 +133,76 @@ def test_malformed_data_value_is_a_problem(data, where, fragment):
         )
     [(got, message)] = info.value.problems
     assert got == where and fragment in message
+
+
+def _logged(calls, tag, value):
+    """A callable data value that logs ``tag`` and returns ``value``, or
+    raises it when it is an exception."""
+
+    def build(model):
+        calls.append(tag)
+        if isinstance(value, Exception):
+            raise value
+        return value
+
+    return build
+
+
+def test_callable_values_run_once_in_check_order():
+    # each value is read where it is checked: c0, then the bracket values,
+    # then the delta values, each in its mapping's order
+    calls = []
+    model = LoopModel(
+        dim=3,
+        euler=0,
+        generators=[("a", -3), ("v", 2)],
+        c0=_logged(calls, "c0", {"a": 1}),
+        delta={"v": _logged(calls, "delta v", 0), "a": _logged(calls, "delta a", 0)},
+        bracket={("a", "v"): _logged(calls, "[a,v]", 1), ("v", "v"): _logged(calls, "[v,v]", 0)},
+    )
+    assert calls == ["c0", "[a,v]", "[v,v]", "delta v", "delta a"]
+    assert model.bracket(model.gen("a"), model.gen("v")) == 1
+    # a ValueError raised by one is a problem under its where-tag, in the
+    # same order, and the other values are still read
+    calls = []
+    with pytest.raises(ModelError) as info:
+        LoopModel(
+            dim=3,
+            euler=0,
+            generators=[("a", -3), ("v", 2)],
+            c0=_logged(calls, "c0", ValueError("no c0")),
+            delta={"v": _logged(calls, "delta v", ModelError("no delta"))},
+            bracket={("a", "v"): _logged(calls, "[a,v]", ValueError("no bracket"))},
+        )
+    assert calls == ["c0", "[a,v]", "delta v"]
+    assert info.value.problems == [
+        (("c0",), "no c0"),
+        (("bracket", "a", "v"), "no bracket"),
+        (("delta", "v"), "no delta"),
+    ]
+
+
+@pytest.mark.parametrize(
+    "data, problem",
+    [
+        ({"bracket": {"abc": None}}, (("bracket", "abc"), "bad bracket key 'abc'")),
+        ({"bracket": {("a", "zz"): None}}, (("bracket", "a", "zz"), "unknown generator 'zz'")),
+        ({"bracket": {}, "delta": {"zz": None}}, (("delta", "zz"), "unknown generator 'zz'")),
+        ({"delta": {"a": None}}, (("delta",), "delta data requires bracket data")),
+    ],
+    ids=["bad-bracket-key", "bracket-unknown-generator", "delta-unknown-generator", "delta-without-bracket"],
+)
+def test_a_refused_entry_is_never_evaluated(data, problem):
+    calls = []
+    for table in data.values():
+        for key in table:
+            table[key] = _logged(calls, key, 0)
+    with pytest.raises(ModelError) as info:
+        LoopModel(
+            dim=2, euler=2, generators=[("a", -2)], relations=[(1, {"a": 2})], c0={"a": 1}, **data
+        )
+    assert info.value.problems == [problem]
+    assert calls == []
 
 
 def test_nonpositive_relation_coefficient_rejected():
@@ -494,6 +566,20 @@ def test_basis_window_is_the_single_degrees_in_order(model, window):
     assert got == [
         (d, m, oracle.modulus(m)) for d in sorted(oracle.basis) for m in oracle.basis[d]
     ]
+
+
+@pytest.mark.parametrize(
+    "spec, lo, hi, steps",
+    [("sphere:4", 99999996, 99999996, 8), ("cpn:3", -80, 80, 127), ("sphere:2", -24, 24, 61)],
+)
+def test_basis_enumeration_counts_its_steps(monkeypatch, spec, lo, hi, steps):
+    # every step is counted: the limit at the count passes, one below refuses
+    model = load_model(spec).model
+    monkeypatch.setattr(algebra, "MAX_BASIS_STEPS", steps)
+    assert model._basis_between(lo, hi)
+    monkeypatch.setattr(algebra, "MAX_BASIS_STEPS", steps - 1)
+    with pytest.raises(ValueError, match=f"^basis of degrees {lo} to {hi} takes more than {steps - 1} steps"):
+        model._basis_between(lo, hi)
 
 
 def test_basis_deterministic(cp2):

@@ -336,6 +336,11 @@ def test_integer_multiple_of_solves_modulo_each_key():
     # 2*k = 1 mod 6; k = 1 mod 3 against k = 0 mod 9; a key that base lacks
     for t in (tensor([b, one]), tensor([2 * b, one]), base + tensor([b, b])):
         assert checks._integer_multiple_of(t, base) is None
+    # only zero is a multiple of a zero base, and its k is 0
+    zero = tensor([model.zero(), one])
+    assert checks._integer_multiple_of(zero, zero) == 0
+    for t in (base, tensor([a, a])):
+        assert checks._integer_multiple_of(t, zero) is None
 
 
 def test_oracle_memo_does_not_hide_an_engine_modulus(s4, monkeypatch):
@@ -528,10 +533,12 @@ def test_check_records_are_mutable_and_unhashable():
             hash(record)
 
 
-# Three presentations whose details no built-in reaches: bracket data with
-# chi = 0, brackets on a model that is not simply connected, and a c0 of
+# Four presentations whose details no built-in reaches: bracket data with
+# chi = 0, brackets on a model that is not simply connected, a c0 of
 # coefficient 2 on a 5-torsion class, where psi(1) = 2*(2a (x) 2a) is
-# 3*(a (x) a): 2 times c0 (x) c0 modulo 5, not over Z.
+# 3*(a (x) a): 2 times c0 (x) c0 modulo 5, not over Z, and the same c0 on
+# a 4-torsion class, where c0 (x) c0 = 4*(a (x) a) = 0 and psi(1) = 0 is
+# its multiple.
 BV_DATA_TEXT = """\
 dim = 3
 euler = 0
@@ -659,6 +666,39 @@ PASS model-round-trip (1 cases)
 result: PASS (18 passed, 0 failed, 7 skipped)
 """
 
+ZERO_C0_SQUARE_TEXT = TORSION_C0_TEXT.replace("relation 5 * a", "relation 4 * a")
+
+ZERO_C0_SQUARE_REPORT = """\
+window: 4
+seed: 0
+PASS normal-form-idempotent (60 cases)
+PASS normal-form-order-independence (40 cases)
+PASS ring-unit-law (4 cases)
+PASS ring-associativity (144 cases)
+PASS ring-distributivity (80 cases)
+PASS graded-commutativity (16 cases)
+PASS mul-oracle-agreement (16 cases)
+PASS torsion-identity (4 cases)
+SKIP bracket-unit (no bracket data)
+SKIP bracket-antisymmetry (no bracket data)
+SKIP bracket-torsion (no bracket data)
+SKIP delta-squared (no BV-operator data)
+SKIP delta-bv-residual (no BV-operator data)
+PASS coproduct-symmetry (4 cases)
+PASS coproduct-forms-agree (4 cases)
+PASS coproduct-concentration (4 cases)
+PASS coproduct-frobenius (50 cases)
+PASS coproduct-coassociativity (4 cases)
+SKIP coproduct-delta-factorwise (no BV-operator data)
+SKIP coproduct-kills-geometric-brackets (no bracket data)
+PASS surface-closed-vs-pants (324 cases)
+PASS surface-functoriality (150 cases)
+PASS surface-degree-shift (162 cases)
+PASS surface-certificate-sew (60 cases)
+PASS model-round-trip (1 cases)
+result: PASS (18 passed, 0 failed, 7 skipped)
+"""
+
 
 @pytest.mark.parametrize(
     "text, report, code",
@@ -666,12 +706,117 @@ result: PASS (18 passed, 0 failed, 7 skipped)
         (BV_DATA_TEXT, BV_DATA_REPORT, 1),
         (TOY_NOT_SIMPLY_CONNECTED_TEXT, TOY_NOT_SIMPLY_CONNECTED_REPORT, 0),
         (TORSION_C0_TEXT, TORSION_C0_REPORT, 0),
+        (ZERO_C0_SQUARE_TEXT, ZERO_C0_SQUARE_REPORT, 0),
     ],
-    ids=["bv-data-chi-zero", "toy-bv0-not-simply-connected", "c0-coefficient-on-torsion"],
+    ids=[
+        "bv-data-chi-zero",
+        "toy-bv0-not-simply-connected",
+        "c0-coefficient-on-torsion",
+        "c0-square-zero-on-torsion",
+    ],
 )
 def test_check_text_pinned_where_no_builtin_reaches(tmp_path, capsys, text, report, code):
     path = tmp_path / "pinned.model"
     path.write_text(text)
-    argv = ["check", "--model", str(path), "--window", "6", "--seed", "0"]
+    window = report.split("\n", 1)[0].removeprefix("window: ")
+    argv = ["check", "--model", str(path), "--window", window, "--seed", "0"]
     assert main(argv) == code
     assert capsys.readouterr().out == f"model: {path}\n{report}"
+
+
+def _plus_unit(model, name, when=lambda *args: True):
+    """A patch of ``model.<name>`` that adds the unit where ``when`` holds."""
+    real = getattr(model, name)
+
+    def patched(*args):
+        out = real(*args)
+        return out + model.unit() if when(*args) else out
+
+    return name, patched
+
+
+def _plus_tensor(name, arity, when=lambda *args: True):
+    """A patch of ``checks.<name>`` that adds ``1 (x) ... (x) 1`` of the
+    given arity where ``when`` holds."""
+    real = getattr(checks, name)
+
+    def patched(*args):
+        out = real(*args)
+        if not when(*args):
+            return out
+        return out + tensor([out.model.unit()] * arity)
+
+    return name, patched
+
+
+def _multi_term(*xs):
+    return any(len(x.terms) > 1 for x in xs)
+
+
+# law -> (patch of one function the law calls, start of its witness); a
+# patch is ``(name, fn)`` set on the model when ``fn`` comes from the
+# model's own method, else on ``checks``
+_BROKEN_LAWS = {
+    "normal-form-idempotent": (
+        lambda m: _plus_unit(m, "normal_form"),
+        "2*y + 2*y*z renormalized to 1 + 2*y + 2*y*z",
+    ),
+    "normal-form-order-independence": (
+        lambda m: _plus_unit(m, "normal_form", lambda raw: len(raw) > 1 and raw[0][0] % 2),
+        "reordering changed the normal form of [",
+    ),
+    "ring-unit-law": (lambda m: ("unit", lambda real=m.unit: 2 * real()), "unit law fails on y*z"),
+    # only random elements have two terms, so the exhaustive sweep passes
+    "ring-associativity": (lambda m: _plus_unit(m, "mul", _multi_term), "(-3*y + 3*y*z)*(2*y)*(-1 + 3*y)"),
+    "ring-distributivity": (lambda m: _plus_unit(m, "mul", _multi_term), "(-3*y + 3*y*z)*((2*y)+(-1 + 3*y))"),
+    "bracket-unit": (lambda m: _plus_unit(m, "bracket"), "bracket with 1 on y*z"),
+    "bracket-torsion": (lambda m: _plus_unit(m, "bracket"), "chi*bracket(c0, y*z) = 2 != 0"),
+    "delta-bv-residual": (lambda m: _plus_unit(m, "bracket"), "x=2*y*z, y=4: residual -1"),
+    "coproduct-coassociativity": (
+        lambda m: _plus_tensor("apply_psi", 3, lambda t, slot: slot == 2),
+        "on y*z",
+    ),
+    "coproduct-delta-factorwise": (
+        lambda m: _plus_tensor("apply_delta_factorwise", 2),
+        "factorwise delta of psi(y*z) = (1 (x) 1)",
+    ),
+    "coproduct-kills-geometric-brackets": (
+        lambda m: _plus_tensor("psi", 2),
+        "psi(bracket(y, y*z)) = (1 (x) 1)",
+    ),
+    # a degree-0 input gets a key that c0 (x) c0 lacks
+    "coproduct-concentration": (
+        lambda m: _plus_tensor("psi", 2, lambda model, x: model.degree_of(x) == 0),
+        "psi(1) = (1 (x) 1) + 2*(y*z (x) y*z) is not a multiple of c0 (x) c0",
+    ),
+    "surface-functoriality": (
+        lambda m: ("sew", lambda s1, s2: checks.Surface(s1.genus, s1.inputs, s2.outputs + 1)),
+        "(g=1, in=2, out=1) then (g=1, in=1, out=3) vs (g=1, in=2, out=4) on [1, 1]",
+    ),
+    "surface-degree-shift": (
+        lambda m: ("monomial_degree", lambda mono, real=m.monomial_degree: real(mono) + 1),
+        "(g=0, in=1, out=1): output degree 3, expected 2",
+    ),
+    "surface-certificate-sew": (
+        lambda m: ("vanishing_certificate", lambda s: checks.VanishingReason.NOT_A_PRIORI),
+        "(g=1, in=2, out=1) sewn to (g=1, in=1, out=3)",
+    ),
+    "model-round-trip": (
+        lambda m: ("parse_model", lambda text, real=checks.parse_model: real(text.replace("euler = 2", "euler = 4"))),
+        "printout changed after reparse",
+    ),
+}
+
+
+@pytest.mark.parametrize("law", list(_BROKEN_LAWS))
+def test_each_law_fails_when_a_function_it_calls_is_broken(monkeypatch, law):
+    # a fresh copy of toy:bv0, so that patches on the model touch no shared
+    # one: it has bracket and BV data, geometric generators and chi = 2
+    model = parse_model(print_model(load_model("toy:bv0").model)).model
+    assert _law_result(model, law, 6).status == "pass"
+    make_patch, witness = _BROKEN_LAWS[law]
+    name, fn = make_patch(model)
+    monkeypatch.setattr(model if hasattr(model, name) else checks, name, fn)
+    result = _law_result(model, law, 6)
+    assert result.status == "fail", result
+    assert result.witness.startswith(witness), result.witness

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from loophom import cli
+from loophom import algebra, cli
 
 S4_TEXT = """\
 dim = 4
@@ -116,7 +116,7 @@ def test_eval_json_element():
         ),
         (
             ["tqft", "--model", "sphere:4", "--genus", "0", "--in", "1", "--out", "1", "psi(1)"],
-            "surface inputs must be scalar elements",
+            "surface input must be a scalar element, got an arity-2 tensor",
         ),
         (
             ["check", "--model", "sphere:4", "--window", "-1"],
@@ -141,6 +141,10 @@ def test_eval_json_element():
             ["eval", "--model", "sphere:4", " (x) ".join([_X201] * 3)],
             "tensor of 8120601 terms exceeds the limit of 1000000",
         ),
+        (
+            ["eval", "--model", "sphere:4", "9^999999999"],
+            "integer power may take 3999999996 bits, more than the limit of 1048576",
+        ),
     ],
     ids=[
         "add-arities",
@@ -158,6 +162,7 @@ def test_eval_json_element():
         "json-huge-coefficient",
         "tqft-huge-coefficient",
         "tensor-too-large",
+        "integer-power-too-large",
     ],
 )
 def test_error_paths_exit_two_with_one_line(argv, error):
@@ -369,6 +374,50 @@ def run_in_process(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+@pytest.mark.parametrize(
+    "genus, n_in, n_out, inputs",
+    [
+        (0, 1, 1, ["a + v"]),
+        (0, 2, 1, ["a", "v"]),
+        (0, 3, 1, ["1 + v", "v^2", "3"]),
+        (0, 1, 2, ["1"]),
+        (0, 2, 2, ["v", "v^2"]),
+        (1, 1, 1, ["v"]),
+        (0, 1, 3, ["1"]),
+        (0, 1, 0, ["v"]),
+        (0, 1, 1, ["psi(1)"]),
+        (1, 2, 1, ["a (x) v", "v"]),
+        (0, 1, 2, ["2^20000"]),
+    ],
+    ids=[
+        "cylinder",
+        "pants",
+        "three-in",
+        "coproduct",
+        "two-in-two-out",
+        "torus",
+        "three-out",
+        "no-outputs",
+        "tensor-input",
+        "tensor-input-vanishing",
+        "huge-coefficient",
+    ],
+)
+def test_tqft_is_eval_of_mu(genus, n_in, n_out, inputs):
+    # the same value or error, as text, and as the same terms with --json
+    mu = f"mu({genus},{n_in},{n_out}; {', '.join(inputs)})"
+    tqft = ["tqft", "--model", "sphere:4", "--genus", str(genus), "--in", str(n_in), "--out", str(n_out)]
+    assert run_in_process([*tqft, *inputs]) == run_in_process(["eval", "--model", "sphere:4", mu])
+    code, out, _ = run_in_process([*tqft, "--json", *inputs])
+    if code:
+        return
+    got = json.loads(out)
+    assert (got.pop("genus"), got.pop("inputs"), got.pop("outputs")) == (genus, n_in, n_out)
+    want = json.loads(run_in_process(["eval", "--model", "sphere:4", "--json", mu])[1])
+    assert want.pop("expr") == mu
+    assert got == want
+
+
 # every path through main: each subcommand, --json before and after a plain
 # call, usage errors (argparse's SystemExit) and an expression parse error
 REUSE_CALLS = [
@@ -421,6 +470,42 @@ def test_basis_in_a_huge_degree_is_solved_directly():
     assert (out.returncode, out.stdout, out.stderr) == (0, "v^16666666  Z\n", "")
     out = run_cli("basis", "--model", "sphere:4", "--degree", "100000000", timeout=20)
     assert (out.returncode, out.stdout, out.stderr) == (0, "", "")
+
+
+# generators of degree -2 with caps of 2999 and one of degree 2: no
+# monomial has an odd degree, but finding that out visits 3000^3 exponent
+# choices
+DEEP_BASIS_TEXT = """\
+dim = 2
+euler = 0
+generator a deg = -2
+generator b deg = -2
+generator c deg = -2
+generator v deg = 2
+relation 1 * a^3000
+relation 1 * b^3000
+relation 1 * c^3000
+c0 = a
+"""
+
+
+def test_basis_past_the_step_limit_exits_two(tmp_path):
+    path = tmp_path / "deep.model"
+    path.write_text(DEEP_BASIS_TEXT)
+    out = run_cli("basis", "--model", str(path), "--degree", "1", timeout=20)
+    assert (out.returncode, out.stdout) == (2, "")
+    assert out.stderr == "loophom: error: basis of degrees 1 to 1 takes more than 1000000 steps to enumerate\n"
+
+
+def test_check_past_the_basis_step_limit_exits_two(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "deep.model"
+    path.write_text(DEEP_BASIS_TEXT)
+    monkeypatch.setattr(algebra, "MAX_BASIS_STEPS", 10**4)
+    assert cli.main(["check", "--model", str(path), "--window", "8"]) == 2
+    assert capsys.readouterr() == (
+        "",
+        "loophom: error: basis of degrees -8 to 8 takes more than 10000 steps to enumerate\n",
+    )
 
 
 def test_console_script_entry_point_runs_main():

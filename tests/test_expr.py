@@ -249,6 +249,26 @@ def test_nesting_past_the_limit_is_located(request, model, opening, atom, column
             parse_expr(text, model)
 
 
+@pytest.mark.parametrize(
+    "text, bits",
+    [("9^999999999", 3999999996), ("3^9999999", 19999998), ("(-2)^524289", 1048578), ("(2^1000000)^2", 2000000)],
+)
+def test_integer_powers_past_the_bit_limit_are_refused(s4, text, bits):
+    # refused before the power is computed: 9^999999999 would run for minutes
+    with pytest.raises(EvalError) as exc:
+        run_expr(s4, text)
+    assert str(exc.value) == f"integer power may take {bits} bits, more than the limit of 1048576"
+
+
+def test_integer_powers_within_the_bit_limit_evaluate(s4):
+    assert run_expr(s4, "(-2)^524288") == (1 << 524288) * s4.unit()
+    assert str(run_expr(s4, "3^20000*a*v")) == "a*v"
+    for base, value in (("1", 1), ("(-1)", -1), ("(0-1)", -1), ("0", 0)):
+        assert run_expr(s4, f"{base}^99999999999") == value
+    # an element power is not an integer power
+    assert str(run_expr(s4, "v^99999999999")) == "v^99999999999"
+
+
 def test_eval_exits_two_past_the_nesting_limit(capsys):
     argv = ["eval", "--model", "sphere:4", "(" * 300 + "a" + ")" * 300]
     assert cli.main(argv) == 2

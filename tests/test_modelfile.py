@@ -164,6 +164,15 @@ def test_non_decimal_digit_in_a_value_is_located():
     assert exc.value.errors == [(10, "unexpected character '²' (column 3)")]
 
 
+def test_integer_power_past_the_bit_limit_in_a_value_is_located():
+    text = S4_TEXT.replace("c0 = a", "c0 = 9^999999999*a")
+    with pytest.raises(ModelParseError) as exc:
+        parse_model(text)
+    assert exc.value.errors == [
+        (10, "integer power may take 3999999996 bits, more than the limit of 1048576")
+    ]
+
+
 @pytest.mark.parametrize(
     "old, new",
     [
