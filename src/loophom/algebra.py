@@ -78,6 +78,22 @@ _NAME_RE = re.compile(r"[A-Za-z_]\w*\Z")
 #: The most steps one basis enumeration may take (see ``_basis_between``).
 MAX_BASIS_STEPS = 10**6
 
+#: Most bits a coefficient may take: an integer power ``n^k``, a product in
+#: an expression or a product of an element power whose coefficients may
+#: reach more is refused before it is computed.
+MAX_COEFF_BITS = 2**20
+
+#: Most term pairs one product of an element power may multiply.
+MAX_POWER_PAIRS = 10**6
+
+
+def coeff_bits(value) -> int:
+    """The bit length of an integer, or of a combination's largest
+    coefficient."""
+    if isinstance(value, int):
+        return abs(value).bit_length()
+    return max(map(abs, value.terms.values()), default=0).bit_length()
+
 
 def parse_int(text: str) -> int:
     """``int(text)`` of decimal digits, with a leading ``-`` where the
@@ -105,24 +121,40 @@ class ModelError(ValueError):
         super().__init__("; ".join(msg for _, msg in self.problems))
 
 
-class Record:
-    """Base of the package's plain value classes.
+#: Sets a record's field, past a frozen record's ``__setattr__``.
+_set_field = object.__setattr__
 
-    A subclass lists its fields in ``__slots__`` and assigns them in its
-    own ``__init__``.  Instances compare equal only to instances of the
-    same class with equal fields, print as ``Name(field=value, ...)`` and,
-    being mutable, are unhashable.
+
+class Record:
+    """Base of the package's plain value classes, declared by ``__slots__``
+    (the fields, in order) and ``_defaults`` (the values of the last ones).
+    A subclass whose body defines no ``__init__`` gets one compiled for it
+    that takes the fields in order, by position or keyword.  Instances
+    compare equal only to instances of the same class with equal fields,
+    print as ``Name(field=value, ...)`` and, being mutable, are unhashable.
     """
 
     __slots__ = ()
     __hash__ = None
+    _defaults = ()
 
     def __init_subclass__(cls):
         super().__init_subclass__()
-        if cls.__slots__:
-            # ``cls._values(record)``: the field values in one C call, as a
-            # tuple, or the value itself for a lone field
-            cls._values = attrgetter(*cls.__slots__)
+        fields = cls.__slots__
+        if not fields:
+            return
+        # ``cls._values(record)``: the field values in one C call, as a
+        # tuple, or the value itself for a lone field
+        cls._values = attrgetter(*fields)
+        if "__init__" not in cls.__dict__:
+            # one ``_set_field`` call per field, compiled, so the
+            # constructor runs what a hand-written one would
+            body = "".join(f"\n    _set_field(self, {f!r}, {f})" for f in fields)
+            namespace = {"_set_field": _set_field}
+            exec(f"def __init__(self, {', '.join(fields)}):{body}", namespace)
+            init = cls.__init__ = namespace["__init__"]
+            init.__defaults__ = cls._defaults
+            init.__qualname__ = f"{cls.__qualname__}.__init__"
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -134,14 +166,10 @@ class Record:
         return f"{type(self).__qualname__}({fields})"
 
 
-#: How a frozen record's ``__init__`` sets its fields past ``__setattr__``.
-_set_field = object.__setattr__
-
-
 class FrozenRecord(Record):
-    """An immutable :class:`Record`: hashable, and assigning or deleting
-    any attribute raises ``AttributeError``; ``__init__`` sets the fields
-    with ``_set_field``."""
+    """An immutable :class:`Record`, declared the same way: hashable, and
+    assigning or deleting any attribute raises ``AttributeError``.  A
+    hand-written ``__init__`` sets the fields with ``_set_field``."""
 
     __slots__ = ()
 
@@ -164,11 +192,7 @@ class GeneratorSpec(FrozenRecord):
     """
 
     __slots__ = ("name", "degree", "geometric")
-
-    def __init__(self, name: str, degree: int, geometric: bool = False):
-        _set_field(self, "name", name)
-        _set_field(self, "degree", degree)
-        _set_field(self, "geometric", geometric)
+    _defaults = (False,)
 
     @property
     def is_odd(self) -> bool:
@@ -183,10 +207,6 @@ class Relation(FrozenRecord):
     """The relation ``coeff * monomial = 0`` with ``coeff >= 1``."""
 
     __slots__ = ("coeff", "monomial")
-
-    def __init__(self, coeff: int, monomial: Monomial):
-        _set_field(self, "coeff", coeff)
-        _set_field(self, "monomial", monomial)
 
 
 MonomialLike = Union[Mapping[str, int], Sequence[int]]
@@ -337,11 +357,31 @@ class Element(Combination):
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
             raise ValueError("exponent must be a non-negative integer")
-        # square-and-multiply: at most 2*log2(k) + 2 products
+        # square-and-multiply: at most 2*log2(k) + 2 products, each checked
+        # against the limits first; a step checks its square before its
+        # product, so a power its square refuses runs no product first
         model, base = self.model, self
+
+        def check(x, y):
+            pairs = len(x.terms) * len(y.terms)
+            if pairs > MAX_POWER_PAIRS:
+                raise ValueError(
+                    f"element power takes a product of {pairs} term pairs, "
+                    f"more than the limit of {MAX_POWER_PAIRS}"
+                )
+            bits = coeff_bits(x) + coeff_bits(y)
+            if bits > MAX_COEFF_BITS:
+                raise ValueError(
+                    f"element power may take coefficients of {bits} bits, "
+                    f"more than the limit of {MAX_COEFF_BITS}"
+                )
+
         out = model.unit()
         while k:
+            if k > 1:
+                check(base, base)
             if k & 1:
+                check(out, base)
                 out = model.mul(out, base)
             k >>= 1
             if k:

@@ -45,13 +45,11 @@ _INCONSISTENT_TAG = "model is inconsistent with string topology"
 
 
 class CheckResult(Record):
-    __slots__ = ("law", "status", "detail", "witness")
+    """One law's outcome; ``status`` is ``"pass"``, ``"fail"``, ``"skip"``
+    or ``"error"``."""
 
-    def __init__(self, law: str, status: str, detail: str = "", witness: str | None = None):
-        self.law = law
-        self.status = status  # "pass" | "fail" | "skip" | "error"
-        self.detail = detail
-        self.witness = witness
+    __slots__ = ("law", "status", "detail", "witness")
+    _defaults = ("", None)
 
 
 class CheckReport(Record):

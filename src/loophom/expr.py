@@ -23,7 +23,9 @@ from __future__ import annotations
 
 from typing import Union
 
-from .algebra import RESERVED_NAMES, Element, FrozenRecord, LoopModel, _set_field, parse_int
+from .algebra import (
+    MAX_COEFF_BITS, RESERVED_NAMES, Element, FrozenRecord, LoopModel, coeff_bits, parse_int
+)
 from .coalgebra import TensorElement, psi, tensor
 from .tqft import Surface, string_operation
 
@@ -46,64 +48,37 @@ class EvalError(ValueError):
 class Lit(FrozenRecord):
     __slots__ = ("value",)
 
-    def __init__(self, value: int):
-        _set_field(self, "value", value)
-
 
 class Name(FrozenRecord):
     __slots__ = ("ident",)
-
-    def __init__(self, ident: str):
-        _set_field(self, "ident", ident)
 
 
 class Neg(FrozenRecord):
     __slots__ = ("operand",)
 
-    def __init__(self, operand: ExprAst):
-        _set_field(self, "operand", operand)
-
 
 class BinOp(FrozenRecord):
-    __slots__ = ("op", "left", "right")
+    """``left op right``, where ``op`` is ``"+"``, ``"-"`` or ``"*"``."""
 
-    def __init__(self, op: str, left: ExprAst, right: ExprAst):
-        _set_field(self, "op", op)  # "+", "-", "*"
-        _set_field(self, "left", left)
-        _set_field(self, "right", right)
+    __slots__ = ("op", "left", "right")
 
 
 class Pow(FrozenRecord):
     __slots__ = ("base", "exponent")
 
-    def __init__(self, base: ExprAst, exponent: int):
-        _set_field(self, "base", base)
-        _set_field(self, "exponent", exponent)
-
 
 class Call(FrozenRecord):
-    __slots__ = ("func", "args")
+    """``func(*args)``, where ``func`` is ``"psi"``, ``"delta"`` or ``"bracket"``."""
 
-    def __init__(self, func: str, args: tuple):
-        _set_field(self, "func", func)  # "psi", "delta", "bracket"
-        _set_field(self, "args", args)
+    __slots__ = ("func", "args")
 
 
 class MuCall(FrozenRecord):
     __slots__ = ("genus", "inputs", "outputs", "args")
 
-    def __init__(self, genus: int, inputs: int, outputs: int, args: tuple):
-        _set_field(self, "genus", genus)
-        _set_field(self, "inputs", inputs)
-        _set_field(self, "outputs", outputs)
-        _set_field(self, "args", args)
-
 
 class TensorExpr(FrozenRecord):
     __slots__ = ("factors",)
-
-    def __init__(self, factors: tuple):
-        _set_field(self, "factors", factors)
 
 
 ExprAst = Union[Lit, Name, Neg, BinOp, Pow, Call, MuCall, TensorExpr]
@@ -150,10 +125,6 @@ def _tokenize(text: str) -> list[tuple[str, int]]:
 #: Python's recursion limit; deeper input is refused at the column of the
 #: token that opens level ``MAX_NESTING + 1``.
 MAX_NESTING = 150
-
-#: Most bits an integer power may take: ``n^k`` with ``|n| > 1`` is refused,
-#: before it is computed, when ``k`` times the bit length of ``n`` exceeds it.
-MAX_POWER_BITS = 2**20
 
 
 class _Parser:
@@ -320,6 +291,11 @@ def _eval_mul(left: Value, right: Value) -> Value:
         isinstance(right, TensorElement) and not isinstance(left, int)
     ):
         raise EvalError("cannot multiply by an arity >= 2 tensor")
+    bits = coeff_bits(left) + coeff_bits(right)
+    if bits > MAX_COEFF_BITS:
+        raise EvalError(
+            f"product may take coefficients of {bits} bits, more than the limit of {MAX_COEFF_BITS}"
+        )
     return left * right
 
 
@@ -351,9 +327,9 @@ def _eval(model: LoopModel, ast: ExprAst, allow_calls: bool) -> Value:
             base = _as_element(model, base, "power base")
         elif isinstance(base, int) and abs(base) > 1:
             bits = ast.exponent * abs(base).bit_length()
-            if bits > MAX_POWER_BITS:
+            if bits > MAX_COEFF_BITS:
                 raise EvalError(
-                    f"integer power may take {bits} bits, more than the limit of {MAX_POWER_BITS}"
+                    f"integer power may take {bits} bits, more than the limit of {MAX_COEFF_BITS}"
                 )
         return base**ast.exponent
     if isinstance(ast, TensorExpr):

@@ -22,7 +22,7 @@ from __future__ import annotations
 import re
 from pathlib import Path
 
-from .algebra import FrozenRecord, GeneratorSpec, LoopModel, ModelError, _set_field, parse_int
+from .algebra import FrozenRecord, GeneratorSpec, LoopModel, ModelError, parse_int
 from .builtins import builtin_model
 from .expr import evaluate_scalar, parse_expr
 
@@ -47,10 +47,7 @@ class ModelDoc(FrozenRecord):
     """A parsed model together with its provenance."""
 
     __slots__ = ("model", "provenance")
-
-    def __init__(self, model: LoopModel, provenance: str = "<string>"):
-        _set_field(self, "model", model)
-        _set_field(self, "provenance", provenance)
+    _defaults = ("<string>",)
 
 
 _DIM_RE = re.compile(r"^(dim|euler)\s*=\s*(-?\d+)\Z")

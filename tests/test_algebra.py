@@ -1,5 +1,6 @@
 """Core algebra engine: validation, normal forms, ring laws, grading."""
 
+import inspect
 import subprocess
 import sys
 from math import gcd, log2
@@ -115,6 +116,15 @@ _MALFORMED = [
     ({"relations": [(1, 5)]}, ("relation", 1), "sequence of exponents, got 5"),
     ({"c0": [(1, 5)]}, ("c0",), "sequence of exponents, got 5"),
     ({"delta": {"a": [(1, 7)]}, "bracket": {}}, ("delta", "a"), "sequence of exponents, got 7"),
+    ({"relations": [5]}, ("relation", 1), "relation must be (coefficient, monomial), got 5"),
+    (
+        {"relations": [(1, {"a": 2}), (1, 2, 3)]},
+        ("relation", 2),
+        "relation must be (coefficient, monomial), got (1, 2, 3)",
+    ),
+    ({"c0": [(1, (1, 0))]}, ("c0",), "monomial has 2 exponents, expected 1"),
+    ({"c0": [(1, (-1,))]}, ("c0",), "exponents must be non-negative integers, got (-1,)"),
+    ({"c0": [(1.5, {"a": 1})]}, ("c0",), "coefficient must be an integer, got 1.5"),
 ]
 
 
@@ -133,6 +143,39 @@ def test_malformed_data_value_is_a_problem(data, where, fragment):
         )
     [(got, message)] = info.value.problems
     assert got == where and fragment in message
+
+
+@pytest.mark.parametrize(
+    "data, where, message",
+    [
+        ({"euler": "2"}, ("model",), "euler must be an integer, got '2'"),
+        ({"generators": [("a",)]}, ("generator", "('a',)"), "bad generator spec ('a',)"),
+        (
+            {"generators": [("a", -2, False, 1)]},
+            ("generator", "('a', -2, False, 1)"),
+            "bad generator spec ('a', -2, False, 1)",
+        ),
+        ({"generators": [("a", -2), 5]}, ("generator", "5"), "bad generator spec 5"),
+        ({"generators": [("1a", -2)]}, ("generator", "1a"), "generator name '1a' is not an identifier"),
+        ({"generators": [("a", -2.0)]}, ("generator", "a"), "degree of 'a' must be an integer"),
+    ],
+    ids=["euler", "spec-short", "spec-long", "spec-int", "name", "degree"],
+)
+def test_malformed_presentation_is_a_problem(data, where, message):
+    with pytest.raises(ModelError) as info:
+        LoopModel(
+            **{"dim": 2, "euler": 2, "generators": [("a", -2)], "c0": {"a": 1}, **data},
+            relations=[(1, {"a": 2})],
+        )
+    assert info.value.problems == [(where, message)]
+
+
+def test_arithmetic_refuses_another_model_and_a_non_integer_scalar(s4):
+    s2 = load_model("sphere:2").model
+    with pytest.raises(ModelError, match="^elements belong to different models$"):
+        s4.gen("a") + s2.gen("a")
+    with pytest.raises(ModelError, match=r"^scalar must be an integer, got 1\.5$"):
+        s4.gen("a").scaled(1.5)
 
 
 def _logged(calls, tag, value):
@@ -626,6 +669,48 @@ def test_generator_spec_and_relation_records():
             delattr(record, field)
         with pytest.raises(AttributeError):
             record.extra = 1
+
+
+# Each record without an ``__init__`` of its own, with the parameters its
+# hand-written constructor took: the fields in order, the last with defaults.
+_COMPILED_CONSTRUCTORS = {
+    "GeneratorSpec": "(name, degree, geometric=False)",
+    "Relation": "(coeff, monomial)",
+    "Lit": "(value)",
+    "Name": "(ident)",
+    "Neg": "(operand)",
+    "BinOp": "(op, left, right)",
+    "Pow": "(base, exponent)",
+    "Call": "(func, args)",
+    "MuCall": "(genus, inputs, outputs, args)",
+    "TensorExpr": "(factors)",
+    "ModelDoc": "(model, provenance='<string>')",
+    "CheckResult": "(law, status, detail='', witness=None)",
+}
+
+
+def test_record_constructors_take_their_fields_in_order():
+    import loophom.checks  # the law suite, and its records, load on first use
+
+    def records(cls):
+        for sub in cls.__subclasses__():
+            yield from [sub] if sub.__slots__ else []
+            yield from records(sub)
+
+    found = {cls.__name__: cls for cls in records(algebra.Record)}
+    for name, signature in _COMPILED_CONSTRUCTORS.items():
+        cls = found[name]
+        assert str(inspect.signature(cls)) == signature, name
+        fields = cls.__slots__
+        record = cls(*fields)
+        assert [getattr(record, f) for f in fields] == list(fields), name
+        assert cls(**dict(zip(fields, fields))) == record, name
+    # Surface checks its fields before it sets them, and each CheckReport
+    # gets a list of its own: these two keep their own constructor, the
+    # others run one compiled from text
+    compiled = {n for n, cls in found.items() if cls.__init__.__code__.co_filename == "<string>"}
+    assert compiled == set(_COMPILED_CONSTRUCTORS)
+    assert set(found) - compiled == {"Surface", "CheckReport"}
 
 
 def test_import_loads_neither_dataclasses_nor_inspect():

@@ -145,6 +145,10 @@ def test_eval_json_element():
             ["eval", "--model", "sphere:4", "9^999999999"],
             "integer power may take 3999999996 bits, more than the limit of 1048576",
         ),
+        (
+            ["tqft", "--model", "sphere:4", "--genus", "0", "--in", "2", "--out", "1", "a"],
+            "surface expects 2 inputs but 1 expressions were given",
+        ),
     ],
     ids=[
         "add-arities",
@@ -163,6 +167,7 @@ def test_eval_json_element():
         "tqft-huge-coefficient",
         "tensor-too-large",
         "integer-power-too-large",
+        "tqft-input-count",
     ],
 )
 def test_error_paths_exit_two_with_one_line(argv, error):

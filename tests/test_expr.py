@@ -12,6 +12,7 @@ from loophom import (
     ExprError,
     ModelError,
     TensorElement,
+    algebra,
     cli,
     evaluate,
     load_model,
@@ -267,6 +268,52 @@ def test_integer_powers_within_the_bit_limit_evaluate(s4):
         assert run_expr(s4, f"{base}^99999999999") == value
     # an element power is not an integer power
     assert str(run_expr(s4, "v^99999999999")) == "v^99999999999"
+
+
+_BIG = "(" + " + ".join(f"v^{k}" for k in range(1001)) + ")"
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        (
+            "(3*v)^99999999",
+            "element power may take coefficients of 1661954 bits, more than the limit of 1048576",
+        ),
+        (f"{_BIG}^2", "element power takes a product of 1002001 term pairs, more than the limit of 1000000"),
+        (
+            "*".join(["(2^500000)"] * 400) + "*a",
+            "product may take coefficients of 1500002 bits, more than the limit of 1048576",
+        ),
+        (
+            "*".join(["(2^500000*v)"] * 200),
+            "product may take coefficients of 1500002 bits, more than the limit of 1048576",
+        ),
+        ("2^524287*2^524288", "product may take coefficients of 1048577 bits, more than the limit of 1048576"),
+    ],
+    ids=["power-bits", "power-pairs", "int-product", "element-product", "product-edge"],
+)
+def test_products_past_a_limit_are_refused(s4, text, error):
+    # refused before the product is computed
+    with pytest.raises(ValueError) as exc:
+        run_expr(s4, text)
+    assert str(exc.value) == error
+
+
+def test_coefficient_and_pair_limits_hold_at_the_edge(s4, monkeypatch):
+    assert run_expr(s4, "2^524287*2^524287") == (1 << 1048574) * s4.unit()
+    # (1+v)^4 squares 2 terms, then 3, then multiplies 1 term by 5: 9 pairs
+    monkeypatch.setattr(algebra, "MAX_POWER_PAIRS", 9)
+    assert str(run_expr(s4, "(1+v)^4")) == "1 + 4*v + 6*v^2 + 4*v^3 + v^4"
+    monkeypatch.setattr(algebra, "MAX_POWER_PAIRS", 8)
+    with pytest.raises(ValueError, match="^element power takes a product of 9 term pairs, more than the limit of 8$"):
+        run_expr(s4, "(1+v)^4")
+    # (2*v)^4 squares 2-bit, then 3-bit coefficients, then multiplies 1 by 16
+    monkeypatch.setattr(algebra, "MAX_COEFF_BITS", 6)
+    assert str(run_expr(s4, "(2*v)^4")) == "16*v^4"
+    monkeypatch.setattr(algebra, "MAX_COEFF_BITS", 5)
+    with pytest.raises(ValueError, match="^element power may take coefficients of 6 bits, more than the limit of 5$"):
+        run_expr(s4, "(2*v)^4")
 
 
 def test_eval_exits_two_past_the_nesting_limit(capsys):

@@ -174,6 +174,23 @@ def test_integer_power_past_the_bit_limit_in_a_value_is_located():
 
 
 @pytest.mark.parametrize(
+    "c0, error",
+    [
+        (
+            "a*(3*v)^99999999",
+            "element power may take coefficients of 1661954 bits, more than the limit of 1048576",
+        ),
+        ("2^524288*2^524288*a", "product may take coefficients of 1048578 bits, more than the limit of 1048576"),
+    ],
+    ids=["element-power", "product"],
+)
+def test_coefficient_limit_in_a_value_is_located(c0, error):
+    with pytest.raises(ModelParseError) as exc:
+        parse_model(S4_TEXT.replace("c0 = a", f"c0 = {c0}"))
+    assert exc.value.errors == [(10, error)]
+
+
+@pytest.mark.parametrize(
     "old, new",
     [
         pytest.param("dim = 4", "dim = " + "1" * 5000, id="dim"),
