@@ -78,9 +78,9 @@ _NAME_RE = re.compile(r"[A-Za-z_]\w*\Z")
 #: The most steps one basis enumeration may take (see ``_basis_between``).
 MAX_BASIS_STEPS = 10**6
 
-#: Most bits a coefficient may take: an integer power ``n^k``, a product in
-#: an expression or a product of an element power whose coefficients may
-#: reach more is refused before it is computed.
+#: Most bits a coefficient may take: an integer power ``n^k``, a product, a
+#: tensor or a ``mu(...)`` in an expression, or a product of an element
+#: power whose coefficients may reach more is refused before it is computed.
 MAX_COEFF_BITS = 2**20
 
 #: Most term pairs one product of an element power may multiply.
@@ -399,6 +399,26 @@ def _lowered(m: Monomial, k: int, times: int = 1) -> Monomial:
     return (*m[:k], m[k] - times, *m[k + 1:])
 
 
+class _Moduli(dict):
+    """The effective modulus of each monomial met, filled on lookup: the gcd
+    of the coefficients of the relations (odd squares included) dividing it."""
+
+    __slots__ = ("relations",)
+
+    def __init__(self, relations: tuple[Relation, ...]):
+        self.relations = relations
+
+    def __missing__(self, m: Monomial) -> int:
+        mod = 0
+        for rel in self.relations:
+            if all(map(le, rel.monomial, m)):
+                mod = gcd(mod, rel.coeff)
+                if mod == 1:
+                    break
+        self[m] = mod
+        return mod
+
+
 class LoopModel:
     """Presentation of a loop-homology ring with its string-topology data.
 
@@ -446,7 +466,6 @@ class LoopModel:
         self.c0: Element | None = None
         self.delta_on_generators: dict[str, Element] | None = None
         self.bracket_on_generators: dict[tuple[str, str], Element] | None = None
-        self._modulus_cache: dict[Monomial, int] = {}
         # the nonzero brackets {g_k, g_l} by index pair, both orders, and
         # the nonzero D(g_k) by index
         self._brackets: dict[tuple[int, int], Element] = {}
@@ -535,20 +554,17 @@ class LoopModel:
         self.relations: tuple[Relation, ...] = tuple(rels)
 
         n = len(gens)
-        implicit = [
-            Relation(1, tuple(2 if j == i else 0 for j in range(n)))
-            for i in self._odd_idx
-        ]
-        self._all_relations = self.relations + tuple(implicit)
+        implicit = (Relation(1, tuple(2 if j == i else 0 for j in range(n))) for i in self._odd_idx)
+        self.moduli = _Moduli(self.relations + tuple(implicit))
 
         caps: list[int | None] = []
         for i, g in enumerate(gens):
             # g^t = 0 from the first exponent t of a relation on a power of
             # g (t = 0 for a relation on 1) at which g^t is dead
-            powers = {r.monomial[i] for r in self._all_relations if sum(r.monomial) == r.monomial[i]}
+            powers = {r.monomial[i] for r in self.moduli.relations if sum(r.monomial) == r.monomial[i]}
             cap = None
             for t in sorted(powers):
-                if self.modulus((0,) * i + (t,) + (0,) * (n - i - 1)) == 1:
+                if self.moduli[(0,) * i + (t,) + (0,) * (n - i - 1)] == 1:
                     cap = max(t - 1, 0)
                     break
             if cap is None and g.degree <= 0:
@@ -737,26 +753,14 @@ class LoopModel:
 
     def modulus(self, m: Monomial) -> int:
         """Effective modulus of a monomial (0 = free, 1 = dead)."""
-        cached = self._modulus_cache.get(m)
-        if cached is None:
-            cached = 0
-            for rel in self._all_relations:
-                if all(map(le, rel.monomial, m)):
-                    cached = gcd(cached, rel.coeff)
-                    if cached == 1:
-                        break
-            self._modulus_cache[m] = cached
-        return cached
+        return self.moduli[m]
 
     def from_raw(self, acc: dict[Monomial, int]) -> Element:
         """The element of a raw monomial dict, each coefficient reduced once."""
-        cache = self._modulus_cache
+        moduli = self.moduli
         terms: dict[Monomial, int] = {}
         for m, c in acc.items():
-            mod = cache.get(m)
-            if mod is None:
-                mod = self.modulus(m)
-            if mod:
+            if mod := moduli[m]:
                 c %= mod
             if c:
                 terms[m] = c
@@ -887,7 +891,7 @@ class LoopModel:
         the other exponents plus one per monomial found.  Each step is
         counted, and a ValueError refuses an enumeration that takes more
         than ``MAX_BASIS_STEPS`` of them."""
-        degs, caps = self._degrees, self._caps
+        degs, caps, moduli = self._degrees, self._caps, self.moduli
         order = sorted(range(len(degs)), key=lambda i: degs[i] > 0)
         last = len(order) - 1
         vec = [0] * len(degs)
@@ -904,8 +908,7 @@ class LoopModel:
             if pos > last:
                 if lo <= deg <= hi:
                     m = tuple(vec)
-                    mod = self.modulus(m)
-                    if mod != 1:
+                    if (mod := moduli[m]) != 1:
                         out.append((deg, m, mod))
                 return
             i = order[pos]
@@ -1001,11 +1004,6 @@ class LoopModel:
             for m, c in x.terms.items():
                 self._add_delta(acc, c, m)
         return self.from_raw(acc)
-
-    def clear_caches(self) -> None:
-        """Empty the modulus cache, which keeps an entry per monomial met
-        for the model's life; values do not change."""
-        self._modulus_cache.clear()
 
     # -- printing --------------------------------------------------------------
 

@@ -68,13 +68,12 @@ def tensor_zero(model: LoopModel, arity: int) -> TensorElement:
 
 def _from_raw(model: LoopModel, arity: int, acc: dict[tuple[Monomial, ...], int]) -> TensorElement:
     """The tensor of a raw key dict, each coefficient reduced once."""
-    cache, modulus = model._modulus_cache, model.modulus
+    moduli = model.moduli
     terms: dict[tuple[Monomial, ...], int] = {}
     for ms, c in acc.items():
         mod = 0
         for m in ms:
-            mod_m = cache.get(m)
-            mod = gcd(mod, modulus(m) if mod_m is None else mod_m)
+            mod = gcd(mod, moduli[m])
         if mod:
             c %= mod
         if c:

@@ -23,9 +23,8 @@ from __future__ import annotations
 
 from typing import Union
 
-from .algebra import (
-    MAX_COEFF_BITS, RESERVED_NAMES, Element, FrozenRecord, LoopModel, coeff_bits, parse_int
-)
+from . import algebra
+from .algebra import RESERVED_NAMES, Element, FrozenRecord, LoopModel, coeff_bits, parse_int
 from .coalgebra import TensorElement, psi, tensor
 from .tqft import Surface, string_operation
 
@@ -286,16 +285,20 @@ def _eval_add(left: Value, right: Value, op: str) -> Value:
     return left + right if op == "+" else left - right
 
 
+def _check_bits(what: str, values) -> None:
+    """Refuse an operation whose operands' coefficient bits add up past
+    ``algebra.MAX_COEFF_BITS``, before it multiplies them."""
+    bits, limit = sum(map(coeff_bits, values)), algebra.MAX_COEFF_BITS
+    if bits > limit:
+        raise EvalError(f"{what} may take coefficients of {bits} bits, more than the limit of {limit}")
+
+
 def _eval_mul(left: Value, right: Value) -> Value:
     if (isinstance(left, TensorElement) and not isinstance(right, int)) or (
         isinstance(right, TensorElement) and not isinstance(left, int)
     ):
         raise EvalError("cannot multiply by an arity >= 2 tensor")
-    bits = coeff_bits(left) + coeff_bits(right)
-    if bits > MAX_COEFF_BITS:
-        raise EvalError(
-            f"product may take coefficients of {bits} bits, more than the limit of {MAX_COEFF_BITS}"
-        )
+    _check_bits("product", (left, right))
     return left * right
 
 
@@ -326,11 +329,9 @@ def _eval(model: LoopModel, ast: ExprAst, allow_calls: bool) -> Value:
         if isinstance(base, TensorElement):
             base = _as_element(model, base, "power base")
         elif isinstance(base, int) and abs(base) > 1:
-            bits = ast.exponent * abs(base).bit_length()
-            if bits > MAX_COEFF_BITS:
-                raise EvalError(
-                    f"integer power may take {bits} bits, more than the limit of {MAX_COEFF_BITS}"
-                )
+            bits, limit = ast.exponent * abs(base).bit_length(), algebra.MAX_COEFF_BITS
+            if bits > limit:
+                raise EvalError(f"integer power may take {bits} bits, more than the limit of {limit}")
         return base**ast.exponent
     if isinstance(ast, TensorExpr):
         if not allow_calls:
@@ -339,6 +340,7 @@ def _eval(model: LoopModel, ast: ExprAst, allow_calls: bool) -> Value:
             _as_element(model, _eval(model, f, allow_calls), "tensor factor")
             for f in ast.factors
         ]
+        _check_bits("tensor", factors)
         return tensor(factors)
     if isinstance(ast, Call):
         if not allow_calls:
@@ -363,6 +365,7 @@ def _eval(model: LoopModel, ast: ExprAst, allow_calls: bool) -> Value:
             _as_element(model, _eval(model, a, allow_calls), "surface input")
             for a in ast.args
         ]
+        _check_bits("mu(...)", args)
         try:
             value = string_operation(model, surface, args)
         except ValueError as exc:

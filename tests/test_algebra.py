@@ -20,6 +20,9 @@ from loophom import (
     Relation,
     algebra,
     load_model,
+    parse_model,
+    print_model,
+    tensor,
     validate_model,
 )
 
@@ -324,6 +327,28 @@ def test_moduli_against_brute_scan(s4, cp2):
     for model in (s4, cp2):
         for _, mono, mod in model.basis_window(10):
             assert mod == brute_modulus(model, mono)
+
+
+def test_a_moduli_entry_reaches_every_reader(s4, monkeypatch):
+    # a fresh model, so the corrupted entry reaches no shared one
+    model = parse_model(print_model(s4)).model
+    a, v = model.gen("a"), model.gen("v")
+    (ma,) = a.terms
+    assert (model.modulus(ma), model.from_raw({ma: 1})) == (0, a)
+    assert tensor([a, v]) != 0
+    monkeypatch.setitem(model.moduli, ma, 1)
+    assert model.modulus(ma) == 1
+    assert model.from_raw({ma: 1}) == 0
+    assert tensor([a, v]) == 0
+
+
+def test_the_moduli_fill_on_lookup(s4):
+    model = parse_model(print_model(s4)).model
+    m = model.monomial({"a": 1, "v": 7})
+    assert m not in model.moduli
+    assert str(model.from_raw({m: 3})) == "a*v^7"
+    # dict.get does not fill: the entry was stored by the lookup above
+    assert dict.get(model.moduli, m) == brute_modulus(model, m) == 2
 
 
 @settings(max_examples=60)

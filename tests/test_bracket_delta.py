@@ -324,7 +324,7 @@ def test_high_powers_do_not_grow_the_stack():
         # D(a v^n) = -(a D(v^n) + {a, v^n}) and a * a = 0
         assert model.delta(a * v**n) == model.scale(-n, v ** (n - 1))
     # the closed forms keep no entry per exponent
-    assert len(model._modulus_cache) < 100
+    assert len(model.moduli) < 100
 
 
 def test_clear_caches_empties_them_and_keeps_values():
@@ -333,9 +333,9 @@ def test_clear_caches_empties_them_and_keeps_values():
     powers = [v**k for k in range(1, 41)]
     deltas = [model.delta(x) for x in powers]
     brackets = [model.bracket(x, y) for x in powers for y in (a, v)]
-    assert model._modulus_cache
-    model.clear_caches()
-    assert not model._modulus_cache
+    assert model.moduli
+    model.moduli.clear()
+    assert not model.moduli
     assert [model.delta(x) for x in powers] == deltas
     assert [model.bracket(x, y) for x in powers for y in (a, v)] == brackets
 

@@ -348,7 +348,7 @@ def test_oracle_memo_does_not_hide_an_engine_modulus(s4, monkeypatch):
     model = parse_model(print_model(s4)).model
     av = model.monomial({"a": 1, "v": 1})
     assert _law_result(model, "mul-oracle-agreement", 6).status == "pass"
-    monkeypatch.setitem(model._modulus_cache, av, 1)
+    monkeypatch.setitem(model.moduli, av, 1)
     result = _law_result(model, "mul-oracle-agreement", 6)
     assert result.status == "fail"
     assert result.witness.startswith("a * v: engine 0, oracle {(0, 1, 1): 1}")

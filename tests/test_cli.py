@@ -149,6 +149,10 @@ def test_eval_json_element():
             ["tqft", "--model", "sphere:4", "--genus", "0", "--in", "2", "--out", "1", "a"],
             "surface expects 2 inputs but 1 expressions were given",
         ),
+        (
+            ["tqft", "--model", "sphere:4", "--genus", "0", "--in", "200", "--out", "1"] + ["2^500000"] * 200,
+            "mu(...) may take coefficients of 100000200 bits, more than the limit of 1048576",
+        ),
     ],
     ids=[
         "add-arities",
@@ -168,6 +172,7 @@ def test_eval_json_element():
         "tensor-too-large",
         "integer-power-too-large",
         "tqft-input-count",
+        "tqft-coefficient-bits",
     ],
 )
 def test_error_paths_exit_two_with_one_line(argv, error):

@@ -5,6 +5,8 @@ import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loophom import (
     Element,
@@ -17,11 +19,14 @@ from loophom import (
     evaluate,
     load_model,
     parse_expr,
+    psi,
     run_expr,
     tensor,
     tensor_scale,
 )
 from loophom.expr import BinOp, Call, Lit, MuCall, Name, Pow, TensorExpr
+
+from strategies import elements, models
 
 
 # -- parsing -----------------------------------------------------------------
@@ -271,6 +276,7 @@ def test_integer_powers_within_the_bit_limit_evaluate(s4):
 
 
 _BIG = "(" + " + ".join(f"v^{k}" for k in range(1001)) + ")"
+_HUGE_200 = ", ".join(["2^500000"] * 200)
 
 
 @pytest.mark.parametrize(
@@ -290,8 +296,34 @@ _BIG = "(" + " + ".join(f"v^{k}" for k in range(1001)) + ")"
             "product may take coefficients of 1500002 bits, more than the limit of 1048576",
         ),
         ("2^524287*2^524288", "product may take coefficients of 1048577 bits, more than the limit of 1048576"),
+        (
+            f"mu(0,200,1; {_HUGE_200})",
+            "mu(...) may take coefficients of 100000200 bits, more than the limit of 1048576",
+        ),
+        (
+            f"mu(0,200,2; {_HUGE_200})",
+            "mu(...) may take coefficients of 100000200 bits, more than the limit of 1048576",
+        ),
+        (
+            f"mu(1,200,1; {_HUGE_200})",
+            "mu(...) may take coefficients of 100000200 bits, more than the limit of 1048576",
+        ),
+        (
+            " (x) ".join(["2^500000"] * 200),
+            "tensor may take coefficients of 100000200 bits, more than the limit of 1048576",
+        ),
     ],
-    ids=["power-bits", "power-pairs", "int-product", "element-product", "product-edge"],
+    ids=[
+        "power-bits",
+        "power-pairs",
+        "int-product",
+        "element-product",
+        "product-edge",
+        "mu-product",
+        "mu-coproduct",
+        "mu-vanishing",
+        "tensor",
+    ],
 )
 def test_products_past_a_limit_are_refused(s4, text, error):
     # refused before the product is computed
@@ -302,6 +334,8 @@ def test_products_past_a_limit_are_refused(s4, text, error):
 
 def test_coefficient_and_pair_limits_hold_at_the_edge(s4, monkeypatch):
     assert run_expr(s4, "2^524287*2^524287") == (1 << 1048574) * s4.unit()
+    assert run_expr(s4, "2^524287 (x) 2^524287") == (1 << 1048574) * tensor([s4.unit(), s4.unit()])
+    assert run_expr(s4, "mu(0,2,1; 2^524287, 2^524287)") == (1 << 1048574) * s4.unit()
     # (1+v)^4 squares 2 terms, then 3, then multiplies 1 term by 5: 9 pairs
     monkeypatch.setattr(algebra, "MAX_POWER_PAIRS", 9)
     assert str(run_expr(s4, "(1+v)^4")) == "1 + 4*v + 6*v^2 + 4*v^3 + v^4"
@@ -314,6 +348,13 @@ def test_coefficient_and_pair_limits_hold_at_the_edge(s4, monkeypatch):
     monkeypatch.setattr(algebra, "MAX_COEFF_BITS", 5)
     with pytest.raises(ValueError, match="^element power may take coefficients of 6 bits, more than the limit of 5$"):
         run_expr(s4, "(2*v)^4")
+    # products, tensors and mu(...) inputs read the limit where they check it
+    for text, what in (("4*4", "product"), ("4 (x) 4", "tensor"), ("mu(0,2,1; 4, 4)", "mu(...)")):
+        with pytest.raises(EvalError, match=rf"^{re.escape(what)} may take coefficients of 6 bits, more than the limit of 5$"):
+            run_expr(s4, text)
+    with pytest.raises(EvalError, match="^integer power may take 6 bits, more than the limit of 5$"):
+        run_expr(s4, "2^3")
+    assert run_expr(s4, "4*2") == 8
 
 
 def test_eval_exits_two_past_the_nesting_limit(capsys):
@@ -364,6 +405,16 @@ def test_print_reparse_random_elements(s4):
         ]
         value = s4.normal_form(pairs)
         assert run_expr(s4, str(value)) == value
+
+
+@settings(max_examples=60, deadline=None)
+@given(models(euler=st.integers(-3, 3)), st.data())
+def test_print_round_trip_on_drawn_models(model, data):
+    x, y = (data.draw(elements(model, window=4)) for _ in range(2))
+    for value in (x, tensor([x, y]), psi(model, x)):
+        again = run_expr(model, str(value))
+        # a zero tensor prints as 0, which evaluates to a zero element
+        assert again == value or (not value and not again)
 
 
 # -- one-edit corpus -----------------------------------------------------------------
