@@ -966,10 +966,9 @@ class LoopModel:
         if self.bracket_on_generators is None:
             raise ModelError("model carries no bracket data")
         acc: dict[Monomial, int] = {}
-        if self._brackets:
-            for m1, c1 in x.terms.items():
-                for m2, c2 in y.terms.items():
-                    self._add_bracket(acc, c1 * c2, m1, m2)
+        for m1, c1 in x.terms.items():
+            for m2, c2 in y.terms.items():
+                self._add_bracket(acc, c1 * c2, m1, m2)
         return self.from_raw(acc)
 
     def _add_delta(self, acc: dict, c: int, m: Monomial) -> None:
@@ -1000,9 +999,8 @@ class LoopModel:
         if self.delta_on_generators is None or self.bracket_on_generators is None:
             raise ModelError("model carries no BV-operator data")
         acc: dict[Monomial, int] = {}
-        if self._brackets or self._deltas:
-            for m, c in x.terms.items():
-                self._add_delta(acc, c, m)
+        for m, c in x.terms.items():
+            self._add_delta(acc, c, m)
         return self.from_raw(acc)
 
     # -- printing --------------------------------------------------------------

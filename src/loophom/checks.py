@@ -583,8 +583,6 @@ def _integer_multiple_of(t, base):
     the keys of ``base`` is ``r`` plus a multiple of ``n``, and gives the
     same ``k * base``.  A congruence with no solution, or a key of ``t``
     that ``base`` lacks, fails the closing comparison."""
-    if not base.terms:
-        return 0 if not t.terms else None
     modulus = base.model.modulus
     r, n = 0, 1
     for key, c in base.terms.items():

@@ -131,13 +131,9 @@ def twist(t: TensorElement) -> TensorElement:
     """Switch the two factors of an arity-2 tensor with the Koszul sign."""
     if t.arity != 2:
         raise ValueError(f"twist needs an arity-2 tensor, got arity {t.arity}")
-    model = t.model
-    acc: dict[tuple[Monomial, ...], int] = {}
-    for (m1, m2), c in t.terms.items():
-        sign = -1 if (model.monomial_degree(m1) * model.monomial_degree(m2)) % 2 else 1
-        key = (m2, m1)
-        acc[key] = acc.get(key, 0) + sign * c
-    return _from_raw(model, 2, acc)
+    deg = t.model.monomial_degree
+    swapped = {(m2, m1): -c if deg(m1) * deg(m2) % 2 else c for (m1, m2), c in t.terms.items()}
+    return _from_raw(t.model, 2, swapped)
 
 
 def contract(t: TensorElement, slot: int) -> TensorElement:
@@ -218,14 +214,11 @@ def apply_delta_factorwise(t: TensorElement) -> TensorElement:
     model = t.model
     acc: dict[tuple[Monomial, ...], int] = {}
     for ms, c in t.terms.items():
-        for slot in range(t.arity):
-            sign = (
-                -1
-                if sum(model.monomial_degree(m) for m in ms[:slot]) % 2
-                else 1
-            )
-            image = model.delta(Element(model, {ms[slot]: 1}))
-            for dm, dc in image.terms.items():
-                key = ms[:slot] + (dm,) + ms[slot + 1 :]
-                acc[key] = acc.get(key, 0) + sign * c * dc
+        for slot, m in enumerate(ms):
+            head, tail = ms[:slot], ms[slot + 1 :]
+            for dm, dc in model.delta(Element(model, {m: 1})).terms.items():
+                key = head + (dm,) + tail
+                acc[key] = acc.get(key, 0) + c * dc
+            if model.monomial_degree(m) % 2:  # the operator has slid past m
+                c = -c
     return _from_raw(model, t.arity, acc)

@@ -353,6 +353,7 @@ def _eval(model: LoopModel, ast: ExprAst, allow_calls: bool) -> Value:
             return psi(model, args[0])
         if ast.func == "delta":
             return model.delta(args[0])
+        _check_bits("bracket", args)
         return model.bracket(args[0], args[1])
     if isinstance(ast, MuCall):
         if not allow_calls:

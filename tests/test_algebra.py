@@ -636,6 +636,36 @@ def test_basis_window_is_the_single_degrees_in_order(model, window):
     ]
 
 
+@settings(max_examples=100, deadline=None)
+@given(models(euler=st.integers(-3, 3)), st.integers(0, 4))
+@example(
+    # four of the eight degree-4 monomials, a*u*v among them, hold the
+    # last generator v, and the 2-torsion of a*v reaches each of them
+    LoopModel(
+        dim=4,
+        euler=2,
+        generators=[("b", -1), ("z", 0), ("a", -4), ("u", 2), ("w", 3), ("v", 6)],
+        relations=[(1, {"z": 2}), (1, {"a": 2}), (1, {"u": 3}), (2, {"a": 1, "v": 1})],
+        c0={"a": 1},
+    ),
+    4,
+)
+def test_engine_matches_the_dense_oracle_on_drawn_models(model, window):
+    # the basis by degree with its moduli, and the product of every
+    # ordered pair of basis monomials
+    oracle = DenseOracle(model, window)
+    got: dict[int, list] = {}
+    for d, m, mod in model.basis_window(window):
+        got.setdefault(d, []).append((m, mod))
+    assert got == {d: [(m, oracle.modulus(m)) for m in ms] for d, ms in oracle.basis.items()}
+    monos = [m for ms in oracle.basis.values() for m in ms]
+    for m1 in monos:
+        for m2 in monos:
+            want = oracle.multiply(m1, m2)
+            product = model.mul(model.mono_elem(m1), model.mono_elem(m2))
+            assert product.terms == ({} if want is None else {want[1]: want[0]})
+
+
 @pytest.mark.parametrize(
     "spec, lo, hi, steps",
     [("sphere:4", 99999996, 99999996, 8), ("cpn:3", -80, 80, 127), ("sphere:2", -24, 24, 61)],

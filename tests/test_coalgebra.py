@@ -327,11 +327,30 @@ def test_factorwise_delta_kills_coproduct(toy, bv_model):
             assert apply_delta_factorwise(value) == 0
 
 
+def _delta_factorwise_by_prefix_sums(t):
+    # each slot's sign re-sums the degrees of the factors before it
+    model = t.model
+    out = tensor_zero(model, t.arity)
+    for ms, c in t.terms.items():
+        for slot in range(t.arity):
+            sign = -1 if sum(model.monomial_degree(m) for m in ms[:slot]) % 2 else 1
+            factors = [Element(model, {m: 1}) for m in ms]
+            factors[slot] = model.delta(factors[slot])
+            out = out + tensor(factors).scaled(sign * c)
+    return out
+
+
 def test_factorwise_delta_nontrivial_case(bv_model):
     # sanity that the operator itself is not identically zero
     a, v = bv_model.gen("a"), bv_model.gen("v")
     t = tensor([bv_model.mul(a, v), v])
     assert apply_delta_factorwise(t) == tensor_scale(-1, tensor([bv_model.unit(), v]))
+    # arity 3 with two odd factors a*v: the third slot passes a*v and v, so -1
+    av, one = bv_model.mul(a, v), bv_model.unit()
+    t = tensor([av, v, av])
+    assert apply_delta_factorwise(t) == tensor([av, v, one]) - tensor([one, v, av])
+    for t in (t, tensor([av, av + v, 2 * v - av]), tensor([a, av + 3 * a, av])):
+        assert apply_delta_factorwise(t) == _delta_factorwise_by_prefix_sums(t)
 
 
 def test_coproduct_kills_geometric_brackets(toy, bv_model):

@@ -280,37 +280,49 @@ _HUGE_200 = ", ".join(["2^500000"] * 200)
 
 
 @pytest.mark.parametrize(
-    "text, error",
+    "model, text, error",
     [
         (
+            "s4",
             "(3*v)^99999999",
             "element power may take coefficients of 1661954 bits, more than the limit of 1048576",
         ),
-        (f"{_BIG}^2", "element power takes a product of 1002001 term pairs, more than the limit of 1000000"),
+        ("s4", f"{_BIG}^2", "element power takes a product of 1002001 term pairs, more than the limit of 1000000"),
         (
+            "s4",
             "*".join(["(2^500000)"] * 400) + "*a",
             "product may take coefficients of 1500002 bits, more than the limit of 1048576",
         ),
         (
+            "s4",
             "*".join(["(2^500000*v)"] * 200),
             "product may take coefficients of 1500002 bits, more than the limit of 1048576",
         ),
-        ("2^524287*2^524288", "product may take coefficients of 1048577 bits, more than the limit of 1048576"),
+        ("s4", "2^524287*2^524288", "product may take coefficients of 1048577 bits, more than the limit of 1048576"),
         (
+            "s4",
             f"mu(0,200,1; {_HUGE_200})",
             "mu(...) may take coefficients of 100000200 bits, more than the limit of 1048576",
         ),
         (
+            "s4",
             f"mu(0,200,2; {_HUGE_200})",
             "mu(...) may take coefficients of 100000200 bits, more than the limit of 1048576",
         ),
         (
+            "s4",
             f"mu(1,200,1; {_HUGE_200})",
             "mu(...) may take coefficients of 100000200 bits, more than the limit of 1048576",
         ),
         (
+            "s4",
             " (x) ".join(["2^500000"] * 200),
             "tensor may take coefficients of 100000200 bits, more than the limit of 1048576",
+        ),
+        (
+            "bv_model",
+            "bracket(2^500000*a*v, " * 140 + "v^200" + ")" * 140,
+            "bracket may take coefficients of 1500017 bits, more than the limit of 1048576",
         ),
     ],
     ids=[
@@ -323,19 +335,23 @@ _HUGE_200 = ", ".join(["2^500000"] * 200)
         "mu-coproduct",
         "mu-vanishing",
         "tensor",
+        "nested-bracket",
     ],
 )
-def test_products_past_a_limit_are_refused(s4, text, error):
+def test_products_past_a_limit_are_refused(request, model, text, error):
     # refused before the product is computed
     with pytest.raises(ValueError) as exc:
-        run_expr(s4, text)
+        run_expr(request.getfixturevalue(model), text)
     assert str(exc.value) == error
 
 
-def test_coefficient_and_pair_limits_hold_at_the_edge(s4, monkeypatch):
+def test_coefficient_and_pair_limits_hold_at_the_edge(s4, bv_model, monkeypatch):
     assert run_expr(s4, "2^524287*2^524287") == (1 << 1048574) * s4.unit()
     assert run_expr(s4, "2^524287 (x) 2^524287") == (1 << 1048574) * tensor([s4.unit(), s4.unit()])
     assert run_expr(s4, "mu(0,2,1; 2^524287, 2^524287)") == (1 << 1048574) * s4.unit()
+    assert run_expr(bv_model, "bracket(2^524287*a, 2^524287*v)") == (1 << 1048574) * bv_model.unit()
+    with pytest.raises(EvalError, match="^bracket may take coefficients of 1048577 bits, more than the limit of 1048576$"):
+        run_expr(bv_model, "bracket(2^524288*a, 2^524287*v)")
     # (1+v)^4 squares 2 terms, then 3, then multiplies 1 term by 5: 9 pairs
     monkeypatch.setattr(algebra, "MAX_POWER_PAIRS", 9)
     assert str(run_expr(s4, "(1+v)^4")) == "1 + 4*v + 6*v^2 + 4*v^3 + v^4"
@@ -348,10 +364,13 @@ def test_coefficient_and_pair_limits_hold_at_the_edge(s4, monkeypatch):
     monkeypatch.setattr(algebra, "MAX_COEFF_BITS", 5)
     with pytest.raises(ValueError, match="^element power may take coefficients of 6 bits, more than the limit of 5$"):
         run_expr(s4, "(2*v)^4")
-    # products, tensors and mu(...) inputs read the limit where they check it
+    # products, tensors, mu(...) inputs and brackets read the limit where they check it
     for text, what in (("4*4", "product"), ("4 (x) 4", "tensor"), ("mu(0,2,1; 4, 4)", "mu(...)")):
         with pytest.raises(EvalError, match=rf"^{re.escape(what)} may take coefficients of 6 bits, more than the limit of 5$"):
             run_expr(s4, text)
+    with pytest.raises(EvalError, match=r"^bracket may take coefficients of 6 bits, more than the limit of 5$"):
+        run_expr(bv_model, "bracket(4*a, 4*v)")
+    assert run_expr(bv_model, "bracket(4*a, 2*v)") == 8 * bv_model.unit()
     with pytest.raises(EvalError, match="^integer power may take 6 bits, more than the limit of 5$"):
         run_expr(s4, "2^3")
     assert run_expr(s4, "4*2") == 8
