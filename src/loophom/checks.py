@@ -13,6 +13,7 @@ engine, so agreement between the two is meaningful evidence.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import random
@@ -225,6 +226,27 @@ class _Ctx:
         self.basis = [(d, m, model.mono_elem(m)) for d, m, _ in model.basis_window(window)]
         self.chi_zero = model.euler == 0
 
+    @functools.cached_property
+    def products(self) -> tuple[list[list[int]], list[Element]]:
+        """``(table, values)`` with ``values[table[i][j]]`` basis monomial
+        ``i`` times ``j``: one ``mul`` per ordered pair of the window, made
+        on first use so an error in ``mul`` is a law's ``error``.  Id 0 is
+        zero; each distinct product gets one id, keyed on its tuple of terms
+        (canonical for one term; a corrupted multi-term product may get a
+        second id, which costs a memo entry, never a wrong answer).
+        """
+        ids: dict[tuple, int] = {(): 0}
+        values = [self.model.zero()]
+
+        def intern(p: Element) -> int:
+            i = ids.setdefault(tuple(p.terms.items()), len(values))
+            if i == len(values):
+                values.append(p)
+            return i
+
+        elems = [x for _, _, x in self.basis]
+        return [[intern(self.model.mul(x, y)) for y in elems] for x in elems], values
+
     def rng(self) -> random.Random:
         return random.Random(self.seed)
 
@@ -340,42 +362,31 @@ def _check_ring_unit(ctx: _Ctx) -> Iterator[int]:
 def _check_ring_associativity(ctx: _Ctx) -> Iterator[int]:
     """Exhaustive over the ``|deg| <= 4`` monomials, then random elements.
 
-    Skip rule: every product of two sub-window monomials is computed once,
-    into one table that serves both ``x*y`` and ``y*z`` and holds an id
-    per distinct nonzero value, ``None`` for zero.  ``LoopModel.mul``
-    returns zero when an operand is zero, so a side with a zero factor
-    is zero and is not multiplied; a triple with ``x*y = 0`` and ``y*z =
-    0`` passes without any product, and is counted with its row.
+    Skip rule: ``x*y`` and ``y*z`` are ids read from ``ctx.products``, 0
+    for zero.  ``LoopModel.mul`` returns zero when an operand is zero, so
+    a side with a zero factor is zero and is not multiplied; a triple
+    with ``x*y = 0`` and ``y*z = 0`` passes without any product, and is
+    counted with its row.
 
     Reuse: ``(x*y)*z`` is computed once per value of ``x*y`` and ``z`` (for
     every ``z`` when the value first heads a row, as the row checks every
     ``z``), and ``x*(y*z)`` once per ``x`` and value of ``y*z``, kept for
     the current ``x`` only; zero is stored as ``None``.  That is at most
-    ``n^2 + 2*D*n`` products for ``n`` monomials with ``D`` distinct
-    nonzero products.  ``mul`` depends only on the model and its operands'
-    terms, so a memoised value is exactly what a plain triple loop
-    computes, and the comparisons keep its ``x, y, z`` order: the first
-    failing triple, the witness and the case count are the same.
+    ``2*D*n`` products past the table for ``n`` monomials with ``D``
+    distinct nonzero products.  ``mul`` depends only on the model and its
+    operands' terms, so a memoised value is exactly what a plain triple
+    loop computes, and the comparisons keep its ``x, y, z`` order: the
+    first failing triple, the witness and the case count are the same.
     """
     model, rng = ctx.model, ctx.rng()
-    small = [x for d, _, x in ctx.basis if abs(d) <= 4]
-    ids: dict[frozenset, int] = {}
-    values: list[Element] = []  # the distinct nonzero products, by id
-
-    def intern(p: Element) -> int | None:
-        if not p:
-            return None
-        key = frozenset(p.terms.items())
-        if key not in ids:
-            ids[key] = len(values)
-            values.append(p)
-        return ids[key]
-
-    table = [[intern(model.mul(x, y)) for y in small] for x in small]
+    table, values = ctx.products
+    sub = [i for i, (d, _, _) in enumerate(ctx.basis) if abs(d) <= 4]
+    small = [ctx.basis[i][2] for i in sub]
+    rows = [[table[i][j] for j in sub] for i in sub]
     # per y, the z with y*z != 0, paired with the id of y*z
-    live = [[(z, yz) for z, yz in zip(small, row) if yz is not None] for row in table]
+    live = [[(z, yz) for z, yz in zip(small, row) if yz] for row in rows]
     left: dict[int, list[Element | None]] = {}  # id of x*y -> (x*y)*z for each z
-    for x, xy_row in zip(small, table):
+    for x, xy_row in zip(small, rows):
         right: dict[int, Element | None] = {}  # id of y*z -> x*(y*z)
 
         def x_times(yz: int) -> Element | None:
@@ -383,12 +394,12 @@ def _check_ring_associativity(ctx: _Ctx) -> Iterator[int]:
                 right[yz] = model.mul(x, values[yz]) or None
             return right[yz]
 
-        for y, xy, yz_row, yz_live in zip(small, xy_row, table, live):
-            if xy is not None:
+        for y, xy, yz_row, yz_live in zip(small, xy_row, rows, live):
+            if xy:
                 if xy not in left:
                     left[xy] = [model.mul(values[xy], z) or None for z in small]
                 for z, yz, xy_z in zip(small, yz_row, left[xy]):
-                    if xy_z != (None if yz is None else x_times(yz)):
+                    if xy_z != (x_times(yz) if yz else None):
                         raise _Fail(f"({x})*({y})*({z})")
             else:
                 for z, yz in yz_live:
@@ -412,39 +423,26 @@ def _check_ring_distributivity(ctx: _Ctx) -> Iterator[int]:
         yield 1
 
 
-def _unordered_pairs(items):
-    """``(a, b, orders)`` for each pair ``a = items[i]``, ``b = items[j]``
-    with ``i <= j``, in the order of a plain double loop; ``orders`` is
-    the number of ordered pairs it stands for (1 on the diagonal, 2 off
-    it).
-
-    For a law ``f(a, b) == s * f(b, a)`` with a sign ``s = +-1`` that is
-    symmetric in ``a`` and ``b``, the ordered pair ``(a, b)`` fails
-    exactly when ``(b, a)`` does: multiply both sides by ``s``.  So the
-    first failing pair of the plain double loop has ``i <= j`` (if
-    ``(j, i)`` with ``j > i`` failed, ``(i, j)`` came before it and failed
-    too), and it is the first failing pair of this sweep: the witness is
-    the same.
-    """
-    for i, a in enumerate(items):
-        yield a, a, 1
-        for b in items[i + 1 :]:
-            yield a, b, 2
-
-
 @_law("graded-commutativity")
 def _check_graded_commutativity(ctx: _Ctx) -> Iterator[int]:
-    """``x*y = (-1)^(|x||y|) y*x`` on every ordered pair of basis monomials.
+    """``x*y = (-1)^(|x||y|) y*x`` on every ordered pair of basis monomials,
+    read from ``ctx.products``.
 
-    Skip rule: each unordered pair is checked once and counted in both
-    orders (see :func:`_unordered_pairs` for the proof).
+    Skip rule: each pair ``i <= j`` is checked once, in the order of a
+    plain double loop, and counted in both orders.  With a sign ``s =
+    +-1`` symmetric in ``a`` and ``b``, ``f(a, b) == s * f(b, a)`` fails
+    exactly when it fails for ``(b, a)``: multiply both sides by ``s``.
+    So if ``(j, i)`` with ``j > i`` fails, ``(i, j)`` came before it in
+    the plain loop and fails too: that loop's first failing pair, the
+    witness, has ``i <= j`` and is the first failing pair here.
     """
-    model = ctx.model
-    for (d1, m1, x), (d2, m2, y), orders in _unordered_pairs(ctx.basis):
+    table, values = ctx.products
+    pairs = itertools.combinations_with_replacement(enumerate(ctx.basis), 2)
+    for (i, (d1, m1, _)), (j, (d2, m2, _)) in pairs:
         sign = -1 if (d1 * d2) % 2 else 1
-        if model.mul(x, y) != model.mul(y, x).scaled(sign):
+        if values[table[i][j]] != values[table[j][i]].scaled(sign):
             raise _Fail(f"{ctx.fmt(m1)} * {ctx.fmt(m2)}")
-        yield orders
+        yield 1 if i == j else 2
 
 
 @_law("mul-oracle-agreement")
@@ -495,13 +493,14 @@ def _check_bracket_unit(ctx: _Ctx) -> Iterator[int]:
 def _check_bracket_antisymmetry(ctx: _Ctx) -> Iterator[int]:
     """``{x, y} = -(-1)^((|x|+1)(|y|+1)) {y, x}`` on every ordered pair of
     basis monomials; each unordered pair is checked once and counted in
-    both orders (see :func:`_unordered_pairs`)."""
+    both orders (see :func:`_check_graded_commutativity` for the proof)."""
     model = ctx.model
-    for (d1, m1, x), (d2, m2, y), orders in _unordered_pairs(ctx.basis):
+    pairs = itertools.combinations_with_replacement(enumerate(ctx.basis), 2)
+    for (i, (d1, m1, x)), (j, (d2, m2, y)) in pairs:
         sign = 1 if ((d1 + 1) * (d2 + 1)) % 2 else -1
         if model.bracket(x, y) != model.bracket(y, x).scaled(sign):
             raise _Fail(f"bracket({ctx.fmt(m1)}, {ctx.fmt(m2)})")
-        yield orders
+        yield 1 if i == j else 2
 
 
 @_law("bracket-torsion", needs=("bracket",), chi_tag=True)

@@ -259,33 +259,65 @@ def test_associativity_memo_reports_a_shared_corrupted_value(
 ):
     # p*q = q*p for the even monomials p = a*c and q = c; their product
     # has degree -6, outside the |deg| <= 4 sub-window, so only the
-    # (x*y)*z and x*(y*z) memos ever multiply it
+    # (x*y)*z and x*(y*z) memos ever multiply it; at window 8 it is in
+    # the window, and the shared product table holds the corrupted value
+    # too, but the sweep reads only the sub-window's rows and columns
     model = s2_cp2
     p, q = model.mono_elem({"a": 1, "c": 1}), model.gen("c")
     pq, r = model.mul(p, q), p
     assert pq == model.mul(q, p)
     _corrupt_products(monkeypatch, model, "mul", [(pq, r) if side == "left" else (r, pq)])
-    result = _law_result(model, "ring-associativity", 4)
-    assert (result.status, result.witness) == ("fail", witness)
-    assert result.witness == _plain_associativity_witness(model, 4)
+    for window in (4, 8):
+        result = _law_result(model, "ring-associativity", window)
+        assert (result.status, result.witness) == ("fail", witness)
+        assert result.witness == _plain_associativity_witness(model, window)
 
 
-@pytest.mark.parametrize("fixture, window", [("s2_cp2", 1), ("s2_cp2", 4), ("odd_interleaved", 1)])
+@pytest.mark.parametrize(
+    "fixture, window", [("s2_cp2", 1), ("s2_cp2", 4), ("odd_interleaved", 1), ("s2_cp2", 8)]
+)
 def test_associativity_multiplies_each_distinct_value_once(
     request, count_mul, fixture, window
 ):
-    # n^2 products for the table, then at most D*n for (x*y)*z and D*n
-    # for x*(y*z), D the number of distinct nonzero products; the 80
-    # random triples take four products each
+    # N^2 products for the table, which covers the whole window of N
+    # monomials (N = n up to window 4), then at most D*n for (x*y)*z and
+    # D*n for x*(y*z) over the n monomials with |deg| <= 4, D the number
+    # of their distinct nonzero products; the 80 random triples take four
+    # products each
     model = request.getfixturevalue(fixture)
-    small = [model.mono_elem(m) for d, m, _ in model.basis_window(window) if abs(d) <= 4]
-    n = len(small)
+    basis = model.basis_window(window)
+    small = [model.mono_elem(m) for d, m, _ in basis if abs(d) <= 4]
+    big_n, n = len(basis), len(small)
     distinct = {frozenset(model.mul(x, y).terms.items()) for x in small for y in small}
     d = len(distinct - {frozenset()})
     calls = count_mul(model)
     result = _law_result(model, "ring-associativity", window)
     assert result.detail == f"{n**3 + 80} cases"
-    assert calls[0] <= n * n + 2 * d * n + 4 * 80
+    assert calls[0] <= big_n * big_n + 2 * d * n + 4 * 80
+
+
+def test_graded_commutativity_reads_the_shared_product_table(s2_cp2, count_mul):
+    # at window 8 the basis has N = 190 monomials and the |deg| <= 4
+    # sub-window of ring-associativity 98; the law that runs first fills
+    # the context's table of the N^2 ordered products, and
+    # graded-commutativity only reads it
+    laws = dict(checks._LAWS)
+    ctx = checks._Ctx(s2_cp2, 8, 0)
+    small = [x for d, _, x in ctx.basis if abs(d) <= 4]
+    big_n, n = len(ctx.basis), len(small)
+    assert (big_n, n) == (190, 98)
+    distinct = {frozenset(s2_cp2.mul(x, y).terms.items()) for x in small for y in small}
+    d = len(distinct - {frozenset()})
+    calls = count_mul(s2_cp2)
+    assert laws["ring-associativity"](ctx).status == "pass"
+    assert calls[0] <= big_n * big_n + 2 * d * n + 4 * 80
+    calls[0] = 0
+    assert laws["graded-commutativity"](ctx).status == "pass"
+    assert calls[0] == 0
+    # run alone on a fresh context, it builds the table: one product per
+    # ordered pair, not two per unordered pair
+    assert laws["graded-commutativity"](checks._Ctx(s2_cp2, 8, 0)).status == "pass"
+    assert calls[0] == big_n * big_n
 
 
 def test_laws_yield_the_number_of_cases_they_settled(s2_cp2, bv_model):
