@@ -225,27 +225,25 @@ class _Ctx:
         # (degree, monomial, element) for each basis monomial of the window
         self.basis = [(d, m, model.mono_elem(m)) for d, m, _ in model.basis_window(window)]
         self.chi_zero = model.euler == 0
+        self.values = [model.zero()]  # the value of each id; id 0 is zero
+        self.ids: dict[frozenset, int] = {}
+
+    def intern(self, p: Element) -> int:
+        """The id of ``p``: 0 for zero, else one per set of terms."""
+        i = self.ids.setdefault(frozenset(p.terms.items()), len(self.values)) if p else 0
+        if i == len(self.values):
+            self.values.append(p)
+        return i
 
     @functools.cached_property
-    def products(self) -> tuple[list[list[int]], list[Element]]:
-        """``(table, values)`` with ``values[table[i][j]]`` basis monomial
+    def products(self) -> list[list[int]]:
+        """The table of ids with ``values[table[i][j]]`` basis monomial
         ``i`` times ``j``: one ``mul`` per ordered pair of the window, made
-        on first use so an error in ``mul`` is a law's ``error``.  Id 0 is
-        zero; each distinct product gets one id, keyed on its tuple of terms
-        (canonical for one term; a corrupted multi-term product may get a
-        second id, which costs a memo entry, never a wrong answer).
-        """
-        ids: dict[tuple, int] = {(): 0}
-        values = [self.model.zero()]
-
-        def intern(p: Element) -> int:
-            i = ids.setdefault(tuple(p.terms.items()), len(values))
-            if i == len(values):
-                values.append(p)
-            return i
-
+        on first use so an error in ``mul`` is a law's ``error``.  The ids
+        come from ``intern``: equal products share one, so ids compare as
+        their values do."""
         elems = [x for _, _, x in self.basis]
-        return [[intern(self.model.mul(x, y)) for y in elems] for x in elems], values
+        return [[self.intern(self.model.mul(x, y)) for y in elems] for x in elems]
 
     def rng(self) -> random.Random:
         return random.Random(self.seed)
@@ -362,8 +360,11 @@ def _check_ring_unit(ctx: _Ctx) -> Iterator[int]:
 def _check_ring_associativity(ctx: _Ctx) -> Iterator[int]:
     """Exhaustive over the ``|deg| <= 4`` monomials, then random elements.
 
-    Skip rule: ``x*y`` and ``y*z`` are ids read from ``ctx.products``, 0
-    for zero.  ``LoopModel.mul`` returns zero when an operand is zero, so
+    The basis is sorted by degree, so those monomials are a slice ``[lo,
+    hi)`` of it, read in place in ``ctx.products``.  Products are held as
+    ids, 0 for zero; equal products share one id, so ids compare as values.
+
+    Skip rule: ``LoopModel.mul`` returns zero when an operand is zero, so
     a side with a zero factor is zero and is not multiplied; a triple
     with ``x*y = 0`` and ``y*z = 0`` passes without any product, and is
     counted with its row.
@@ -371,39 +372,39 @@ def _check_ring_associativity(ctx: _Ctx) -> Iterator[int]:
     Reuse: ``(x*y)*z`` is computed once per value of ``x*y`` and ``z`` (for
     every ``z`` when the value first heads a row, as the row checks every
     ``z``), and ``x*(y*z)`` once per ``x`` and value of ``y*z``, kept for
-    the current ``x`` only; zero is stored as ``None``.  That is at most
-    ``2*D*n`` products past the table for ``n`` monomials with ``D``
-    distinct nonzero products.  ``mul`` depends only on the model and its
-    operands' terms, so a memoised value is exactly what a plain triple
-    loop computes, and the comparisons keep its ``x, y, z`` order: the
-    first failing triple, the witness and the case count are the same.
+    the current ``x`` only.  That is at most ``2*D*n`` products past the
+    table for ``n`` monomials with ``D`` distinct nonzero products.
+    ``mul`` depends only on the model and its operands' terms, so a
+    memoised value is exactly what a plain triple loop computes, and the
+    comparisons keep its ``x, y, z`` order: the first failing triple, the
+    witness and the case count are the same.
     """
     model, rng = ctx.model, ctx.rng()
-    table, values = ctx.products
-    sub = [i for i, (d, _, _) in enumerate(ctx.basis) if abs(d) <= 4]
-    small = [ctx.basis[i][2] for i in sub]
-    rows = [[table[i][j] for j in sub] for i in sub]
+    table, values, intern = ctx.products, ctx.values, ctx.intern
+    lo = sum(d < -4 for d, _, _ in ctx.basis)
+    hi = len(ctx.basis) - sum(d > 4 for d, _, _ in ctx.basis)
+    small = [x for _, _, x in ctx.basis[lo:hi]]
     # per y, the z with y*z != 0, paired with the id of y*z
-    live = [[(z, yz) for z, yz in zip(small, row) if yz] for row in rows]
-    left: dict[int, list[Element | None]] = {}  # id of x*y -> (x*y)*z for each z
-    for x, xy_row in zip(small, rows):
-        right: dict[int, Element | None] = {}  # id of y*z -> x*(y*z)
+    live = [[(z, yz) for z, yz in zip(small, row[lo:hi]) if yz] for row in table[lo:hi]]
+    left: dict[int, list[int]] = {}  # id of x*y -> id of (x*y)*z for each z
+    for x, xy_row in zip(small, table[lo:hi]):
+        right: dict[int, int] = {}  # id of y*z -> id of x*(y*z)
 
-        def x_times(yz: int) -> Element | None:
+        def x_times(yz: int) -> int:
             if yz not in right:
-                right[yz] = model.mul(x, values[yz]) or None
+                right[yz] = intern(model.mul(x, values[yz]))
             return right[yz]
 
-        for y, xy, yz_row, yz_live in zip(small, xy_row, rows, live):
+        for y, xy, yz_row, yz_live in zip(small, xy_row[lo:hi], table[lo:hi], live):
             if xy:
                 if xy not in left:
-                    left[xy] = [model.mul(values[xy], z) or None for z in small]
-                for z, yz, xy_z in zip(small, yz_row, left[xy]):
-                    if xy_z != (x_times(yz) if yz else None):
+                    left[xy] = [intern(model.mul(values[xy], z)) for z in small]
+                for z, yz, xy_z in zip(small, yz_row[lo:hi], left[xy]):
+                    if xy_z != (x_times(yz) if yz else 0):
                         raise _Fail(f"({x})*({y})*({z})")
             else:
                 for z, yz in yz_live:
-                    if x_times(yz) is not None:
+                    if x_times(yz):
                         raise _Fail(f"({x})*({y})*({z})")
             yield len(small)
     for _ in range(80):
@@ -436,7 +437,7 @@ def _check_graded_commutativity(ctx: _Ctx) -> Iterator[int]:
     the plain loop and fails too: that loop's first failing pair, the
     witness, has ``i <= j`` and is the first failing pair here.
     """
-    table, values = ctx.products
+    table, values = ctx.products, ctx.values
     pairs = itertools.combinations_with_replacement(enumerate(ctx.basis), 2)
     for (i, (d1, m1, _)), (j, (d2, m2, _)) in pairs:
         sign = -1 if (d1 * d2) % 2 else 1
@@ -564,10 +565,9 @@ def _check_coproduct_symmetry(ctx: _Ctx) -> Iterator[int]:
 def _check_coproduct_forms_agree(ctx: _Ctx) -> Iterator[int]:
     model = ctx.model
     for _, m, x in ctx.basis:
-        if psi(model, x) != psi_mirror(model, x):
-            raise _Fail(
-                f"psi({ctx.fmt(m)}): {psi(model, x)} vs {psi_mirror(model, x)}", _INCONSISTENT_TAG
-            )
+        value, mirror = psi(model, x), psi_mirror(model, x)
+        if value != mirror:
+            raise _Fail(f"psi({ctx.fmt(m)}): {value} vs {mirror}", _INCONSISTENT_TAG)
         yield 1
 
 

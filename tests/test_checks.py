@@ -1,6 +1,7 @@
 """Law suite: pass/fail behaviour, determinism, and the dense oracle."""
 
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -318,6 +319,38 @@ def test_graded_commutativity_reads_the_shared_product_table(s2_cp2, count_mul):
     # ordered pair, not two per unordered pair
     assert laws["graded-commutativity"](checks._Ctx(s2_cp2, 8, 0)).status == "pass"
     assert calls[0] == big_n * big_n
+
+
+def test_equal_products_share_one_id(s2_cp2):
+    # ring-associativity compares ids, so an id must stand for a value,
+    # whatever order its terms were inserted in
+    model = s2_cp2
+    ctx = checks._Ctx(model, 4, 0)
+    v, u = model.monomial({"v": 1}), model.monomial({"u": 1})
+    p, q = model.from_raw({v: 1, u: 2}), model.from_raw({u: 2, v: 1})
+    assert p == q and list(p.terms) != list(q.terms)
+    i = ctx.intern(p)
+    assert i != 0 and ctx.intern(q) == i
+    assert ctx.values[i] == p
+    other = model.from_raw({v: 1, u: 1})
+    j = ctx.intern(other)
+    assert j not in (0, i) and ctx.values[j] == other
+    assert ctx.intern(model.zero()) == 0 and ctx.values[0] == model.zero()
+
+
+def test_associativity_reads_the_shared_table_in_place(s2_cp2):
+    # with the table built, the law holds only its memos of ids: it keeps
+    # no copy of the 98^2 sub-window of the 190^2 table and no element memo
+    ctx = checks._Ctx(s2_cp2, 8, 0)
+    ctx.products
+    tracemalloc.start()
+    try:
+        result = dict(checks._LAWS)["ring-associativity"](ctx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.status == "pass"
+    assert peak < 800 * 1024
 
 
 def test_laws_yield_the_number_of_cases_they_settled(s2_cp2, bv_model):
