@@ -17,7 +17,7 @@ import functools
 import itertools
 import json
 import random
-from math import gcd
+from math import gcd, inf
 from operator import add, le, mul
 from typing import Callable, Iterator
 
@@ -448,24 +448,45 @@ def _check_graded_commutativity(ctx: _Ctx) -> Iterator[int]:
 
 @_law("mul-oracle-agreement")
 def _check_mul_oracle(ctx: _Ctx) -> Iterator[int]:
+    """``DenseOracle.multiply`` on every ordered pair of basis monomials
+    with ``|deg| <= min(window, 6)``, then the engine's basis of those
+    degrees against the oracle's, moduli included.
+
+    The engine's products are read from ``ctx.products``, so the sweep
+    covers only the engine's monomials.  The closing comparison fails the
+    law unless they are exactly the oracle's, so a pass means no oracle
+    pair went unread.  Both bases are sorted by (degree, monomial), so on a
+    pass the pairs came in the oracle's order and the law counts its
+    ``M^2`` pairs; the comparison adds no case.  Its witness is the first
+    monomial in that order that differs.
+    """
     model = ctx.model
     oracle = DenseOracle(model, min(ctx.window, 6))
-    monos = [
-        (exps, model.mono_elem(exps))
-        for _, by_degree in sorted(oracle.basis.items())
-        for exps in by_degree
-    ]
-    for exps1, x in monos:
-        for exps2, y in monos:
-            got = model.mul(x, y)
-            want = oracle.multiply(exps1, exps2)
+    table, values = ctx.products, ctx.values
+    rows = [(i, d, m) for i, (d, m, _) in enumerate(ctx.basis) if abs(d) <= oracle.window]
+    for i, _, m1 in rows:
+        for j, _, m2 in rows:
+            got = values[table[i][j]]
+            want = oracle.multiply(m1, m2)
             expected = {} if want is None else {want[1]: want[0]}
             if got.terms != expected:
-                raise _Fail(
-                    f"{model.format_monomial(exps1)} * "
-                    f"{model.format_monomial(exps2)}: engine {got}, oracle {expected}"
-                )
+                raise _Fail(f"{ctx.fmt(m1)} * {ctx.fmt(m2)}: engine {got}, oracle {expected}")
             yield 1
+    engine_basis = [(d, m, model.moduli[m]) for _, d, m in rows]
+    oracle_basis = [
+        (d, m, oracle.modulus(m)) for d, ms in sorted(oracle.basis.items()) for m in ms
+    ]
+    # past the end of a list, a side reads as lacking every monomial left
+    for e, o in itertools.zip_longest(engine_basis, oracle_basis, fillvalue=(inf,)):
+        if e != o:
+            d, m, mod = min(e, o)
+            if e[:2] == o[:2]:
+                where = f"has modulus {e[2]} in the engine, {o[2]} in the oracle"
+            elif e < o:
+                where = f"is in the engine (modulus {mod}) but not in the oracle"
+            else:
+                where = f"is in the oracle (modulus {mod}) but not in the engine"
+            raise _Fail(f"basis in degree {d}: {ctx.fmt(m)} {where}")
 
 
 @_law("torsion-identity", chi_tag=True)

@@ -1,7 +1,8 @@
 """Line-oriented model files.
 
-One statement per line; ``#`` starts a comment; blank lines are ignored;
-statement order does not matter (generators are collected first):
+A file is read as UTF-8, whatever the locale.  One statement per line;
+``#`` starts a comment; blank lines are ignored; statement order does
+not matter (generators are collected first):
 
     dim = INT                      manifold dimension d        (required)
     euler = INT                    Euler characteristic        (required)
@@ -222,4 +223,12 @@ def load_model(spec: str) -> ModelDoc:
         raise ModelParseError(
             [(None, f"unknown model '{spec}': not a built-in name or a readable file")]
         )
-    return parse_model(path.read_text(), provenance=str(path))
+    data = path.read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # number lines as parse_model does: split the text before the byte,
+        # with "x" standing in for the byte
+        line = len((data[: exc.start].decode("utf-8") + "x").splitlines())
+        raise ModelParseError([(line, f"byte 0x{data[exc.start]:02x} is not UTF-8")]) from None
+    return parse_model(text, provenance=str(path))

@@ -315,6 +315,8 @@ def test_graded_commutativity_reads_the_shared_product_table(s2_cp2, count_mul):
     calls[0] = 0
     assert laws["graded-commutativity"](ctx).status == "pass"
     assert calls[0] == 0
+    assert laws["mul-oracle-agreement"](ctx).status == "pass"
+    assert calls[0] == 0
     # run alone on a fresh context, it builds the table: one product per
     # ordered pair, not two per unordered pair
     assert laws["graded-commutativity"](checks._Ctx(s2_cp2, 8, 0)).status == "pass"
@@ -417,6 +419,70 @@ def test_oracle_memo_does_not_hide_an_engine_modulus(s4, monkeypatch):
     result = _law_result(model, "mul-oracle-agreement", 6)
     assert result.status == "fail"
     assert result.witness.startswith("a * v: engine 0, oracle {(0, 1, 1): 1}")
+
+
+@pytest.mark.parametrize(
+    "name, dropped, witness",
+    [
+        ("sphere:2", 2, "v^2 is in the oracle (modulus 0) but not in the engine"),
+        ("cpn:2", 2, "u is in the oracle (modulus 0) but not in the engine"),
+        ("cpn:3", 1, "c*u is in the oracle (modulus 0) but not in the engine"),
+        ("s2_cp2", 10, "u is in the oracle (modulus 0) but not in the engine"),
+        ("sphere:4", 0, None),
+        ("toy:bv0", 0, None),
+    ],
+)
+def test_a_lossy_engine_basis_fails_check(request, monkeypatch, name, dropped, witness):
+    # every law sweeps the engine's basis, and mul-oracle-agreement reads
+    # the engine's products of it: only its comparison with the oracle's
+    # basis sees a monomial that the enumeration leaves out
+    model = request.getfixturevalue(name) if name == "s2_cp2" else load_model(name).model
+    real = LoopModel._basis_between
+    lost = []
+
+    def lossy(self, lo, hi):
+        out = real(self, lo, hi)
+        lost[:] = [t for t in out if t[0] == 4 and t[1][-1]]
+        return [t for t in out if t not in lost]
+
+    monkeypatch.setattr(LoopModel, "_basis_between", lossy)
+    report = run_checks(model, max_abs_degree=6, seed=0)
+    assert len(lost) == dropped
+    result = next(r for r in report.results if r.law == "mul-oracle-agreement")
+    if witness is None:
+        assert report.passed and result.status == "pass"
+    else:
+        assert not report.passed
+        assert (result.status, result.witness) == ("fail", f"basis in degree 4: {witness}")
+
+
+def test_oracle_law_names_a_modulus_the_engine_basis_gets_wrong(s4, monkeypatch):
+    # unit * a*v has coefficient 1 under either modulus, so the product
+    # sweep passes and the basis comparison reports the modulus
+    model = parse_model(print_model(s4)).model
+    av = model.monomial({"a": 1, "v": 1})
+    monkeypatch.setitem(model.moduli, av, 4)
+    result = _law_result(model, "mul-oracle-agreement", 6)
+    assert (result.status, result.witness) == (
+        "fail", "basis in degree 2: a*v has modulus 4 in the engine, 2 in the oracle"
+    )
+
+
+def test_one_corrupted_table_entry_fails_every_product_law(s2_cp2):
+    # the three product laws read one table: a wrong id in it is seen by each
+    laws = dict(checks._LAWS)
+    ctx = checks._Ctx(s2_cp2, 4, 0)
+    table = ctx.products
+    i, j = next((i, j) for i, row in enumerate(table) for j, p in enumerate(row) if p and i != j)
+    table[i][j] = 1 if table[i][j] != 1 else 2
+    witnesses = {
+        "ring-associativity": "(c^2)*(a)*(1)",
+        "graded-commutativity": "c^2 * a",
+        "mul-oracle-agreement": "c^2 * a: engine b*c^2, oracle {(0, 1, 0, 0, 2, 0): 1}",
+    }
+    for law, witness in witnesses.items():
+        result = laws[law](ctx)
+        assert (result.status, result.witness) == ("fail", witness), law
 
 
 def test_oracle_modulus_takes_a_list_or_a_tuple(odd_interleaved, cp2):

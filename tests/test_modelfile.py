@@ -1,7 +1,10 @@
 """Model file format: parsing, validation with line numbers, round trips."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -316,6 +319,32 @@ def test_load_model_builtin_and_unknown(tmp_path):
     doc = load_model(str(path))
     assert doc.provenance == str(path)
     assert doc.model.dim == 4
+
+
+@pytest.mark.parametrize("newline", [b"\n", b"\r\n"])
+def test_a_byte_that_is_not_utf8_is_located(tmp_path, newline):
+    lines = S4_TEXT.encode().splitlines()
+    lines[2] += b" \xff"
+    path = tmp_path / "m.model"
+    path.write_bytes(newline.join(lines) + newline)
+    with pytest.raises(ModelParseError) as exc:
+        load_model(str(path))
+    assert exc.value.errors == [(3, "byte 0xff is not UTF-8")]
+    assert str(exc.value) == "line 3: byte 0xff is not UTF-8"
+
+
+def test_model_files_are_read_as_utf8_in_any_locale(tmp_path):
+    path = tmp_path / "m.model"
+    path.write_bytes(S4_TEXT.replace("4-sphere", "4-sph\u00e8re").encode())
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0", PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-m", "loophom", "eval", "--model", str(path), "psi(1)"],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "2*(a (x) a)\n", "")
 
 
 def test_relation_on_unit_monomial_parses():
