@@ -26,15 +26,9 @@ normal form, hence every odd generator appears with exponent 0 or 1.
 Each linear map (sum, bracket, BV operator) adds its pieces into one raw
 dict and reduces it once.
 
-Product signs: concatenating two monomials and sorting the letters back
-into declaration order moves each odd letter of the right factor past
-the odd letters of the left factor with a larger index, and each such
-swap contributes -1 (even letters commute freely).  ``mul`` and
-``mono_mul`` find the sign in one scan of the odd generators, from the
-last declared to the first, keeping the parity of the left factor's odd
-letters seen so far: the product dies at an odd generator present in
-both factors (it squares), and the sign flips at each odd letter of the
-right factor while that parity is odd.
+Product signs: every monomial product (``mul``, ``contract`` and the
+closed forms below) goes through ``LoopModel._add_product``, whose one
+scan of the odd generators finds the Koszul sign.
 
 Bracket and BV operator in closed form: the bracket is a biderivation and
 the BV operator ``D`` is second order, so both follow from ``B_kl =
@@ -528,7 +522,7 @@ class LoopModel:
         self.generators: tuple[GeneratorSpec, ...] = tuple(gens)
         self._index = {g.name: i for i, g in enumerate(gens)}
         self._degrees = tuple(g.degree for g in gens)
-        # descending, for the sign scan of ``mul`` and ``mono_mul``
+        # descending, for the sign scan of ``_add_product``
         self._odd_idx = tuple(i for i in reversed(range(len(gens))) if gens[i].is_odd)
 
         rels: list[Relation] = []
@@ -796,25 +790,34 @@ class LoopModel:
         self._check_same(x)
         return x.scaled(k)
 
-    def mono_mul(self, m1: Monomial, m2: Monomial) -> tuple[int, Monomial] | None:
-        """Product of normal-form monomials with its Koszul sign; None if
-        an odd generator squares."""
-        sign = 1
-        left_odd = False  # parity of m1's odd letters above the scan
-        for i in self._odd_idx:
-            if m1[i]:
-                if m2[i]:
-                    return None
-                left_odd = not left_odd
-            elif left_odd and m2[i]:
-                sign = -sign
-        return sign, tuple(map(add, m1, m2))
+    def _add_product(self, acc: dict, c: int, m: Monomial, terms: dict) -> None:
+        """Add ``c * m * terms`` to the raw sum ``acc``: the one monomial
+        product, with its Koszul sign.
+
+        Sorting the letters of ``m`` and a term back into declaration order
+        moves each odd letter of the term past the odd letters of ``m`` with
+        a larger index, at -1 a swap (even letters commute).  So one scan of
+        the odd generators, last declared first, keeps the parity of ``m``'s
+        odd letters seen so far: the product dies at an odd generator in
+        both factors (it squares), and the sign flips at each odd letter of
+        the term while that parity is odd."""
+        odd_idx = self._odd_idx
+        for m2, c2 in terms.items():
+            k = c * c2
+            left_odd = False
+            for i in odd_idx:
+                if m[i]:
+                    if m2[i]:
+                        break
+                    left_odd = not left_odd
+                elif left_odd and m2[i]:
+                    k = -k
+            else:
+                p = tuple(map(add, m, m2))
+                acc[p] = acc.get(p, 0) + k
 
     def mul(self, x: Element, y: Element) -> Element:
-        """Loop product: bilinear extension of signed monomial concatenation.
-
-        Each term pair's sign is found by the scan of ``mono_mul``, written
-        out here; the raw sum is reduced once."""
+        """Loop product: ``_add_product`` per term of ``x``, reduced once."""
         if not (
             isinstance(x, Element)
             and x.model is self
@@ -825,22 +828,9 @@ class LoopModel:
         xt, yt = x.terms, y.terms
         if not xt or not yt:
             return Element(self, {})
-        odd_idx = self._odd_idx
         acc: dict[Monomial, int] = {}
-        for m1, c1 in xt.items():
-            for m2, c2 in yt.items():
-                c = c1 * c2
-                left_odd = False
-                for i in odd_idx:
-                    if m1[i]:
-                        if m2[i]:
-                            break
-                        left_odd = not left_odd
-                    elif left_odd and m2[i]:
-                        c = -c
-                else:
-                    m = tuple(map(add, m1, m2))
-                    acc[m] = acc.get(m, 0) + c
+        for m, c in xt.items():
+            self._add_product(acc, c, m, yt)
         return self.from_raw(acc)
 
     # -- grading ------------------------------------------------------------
@@ -928,13 +918,6 @@ class LoopModel:
 
     # -- bracket and BV operator ---------------------------------------------
 
-    def _add_product(self, acc: dict, c: int, m: Monomial, value: Element) -> None:
-        """Add ``c * m * value`` to the raw sum ``acc``."""
-        for mv, cv in value.terms.items():
-            hit = self.mono_mul(m, mv)
-            if hit is not None:
-                acc[hit[1]] = acc.get(hit[1], 0) + hit[0] * c * cv
-
     def _add_gen_bracket(self, acc: dict, c: int, left: Monomial, k: int, y: Monomial) -> None:
         """Add ``c * left * {g_k, y}`` to ``acc``: one term per generator
         ``g_l`` of ``y`` with a nonzero bracket ``B_kl``."""
@@ -944,10 +927,12 @@ class LoopModel:
             if f:
                 above -= f * degs[l]
                 b = self._brackets.get((k, l))
-                hit = None if b is None else self.mono_mul(left, _lowered(y, l))
-                if hit is not None:
+                if b is not None:
                     sign = _sign((dk + 1) * below + (dk + degs[l] + 1) * above)
-                    self._add_product(acc, c * f * sign * hit[0], hit[1], b)
+                    factor: dict[Monomial, int] = {}
+                    self._add_product(factor, c * f * sign, left, {_lowered(y, l): 1})
+                    for p, cp in factor.items():
+                        self._add_product(acc, cp, p, b.terms)
                 below += f * degs[l]
 
     def _add_bracket(self, acc: dict, c: int, m: Monomial, y: Monomial) -> None:
@@ -982,14 +967,14 @@ class LoopModel:
             above -= e * dk
             d = self._deltas.get(k)
             if d is not None:
-                self._add_product(acc, c * e * _sign(below + (dk + 1) * above), _lowered(m, k), d)
+                self._add_product(acc, c * e * _sign(below + (dk + 1) * above), _lowered(m, k), d.terms)
             head = (*m[:k], e - 1) + (0,) * (n - k - 1)
             tail = (0,) * (k + 1) + m[k + 1:]
             self._add_gen_bracket(acc, c * e * _sign(below + dk), head, k, tail)
             b = self._brackets.get((k, k))
             if e > 1 and b is not None:
                 ck = c * (e * (e - 1) // 2) * _sign(below + dk + above)
-                self._add_product(acc, ck, _lowered(m, k, 2), b)
+                self._add_product(acc, ck, _lowered(m, k, 2), b.terms)
             below += e * dk
 
     def delta(self, x: Element) -> Element:

@@ -14,7 +14,7 @@ characteristic chi = 0, so psi = 0.  Only ``apply_delta_factorwise``, for
 the BV operator of degree 1, applies the prefactor.
 
 Each public call reduces once, at the end: ``tensor``, ``contract``
-(which multiplies monomials with ``LoopModel.mono_mul``) and
+(which multiplies monomials with ``LoopModel._add_product``) and
 ``apply_psi`` (which adds ``chi * c * c1 * c2`` for each term ``c`` of
 its input, ``c1`` of ``c0*m`` and ``c2`` of ``c0``, in place of the
 reduced coefficient of the key of ``psi(m)``) add raw coefficients.
@@ -143,13 +143,14 @@ def contract(t: TensorElement, slot: int) -> TensorElement:
     """
     if not 1 <= slot < t.arity:
         raise ValueError(f"slot {slot} out of range for arity {t.arity}")
-    mono_mul = t.model.mono_mul
+    add_product = t.model._add_product
     acc: dict[tuple[Monomial, ...], int] = {}
     for ms, c in t.terms.items():
-        hit = mono_mul(ms[slot - 1], ms[slot])
-        if hit is not None:
-            key = ms[: slot - 1] + (hit[1],) + ms[slot + 1 :]
-            acc[key] = acc.get(key, 0) + c * hit[0]
+        product: dict[Monomial, int] = {}
+        add_product(product, c, ms[slot - 1], {ms[slot]: 1})
+        for m, cm in product.items():
+            key = ms[: slot - 1] + (m,) + ms[slot + 1 :]
+            acc[key] = acc.get(key, 0) + cm
     return _from_raw(t.model, t.arity - 1, acc)
 
 

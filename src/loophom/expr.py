@@ -293,12 +293,22 @@ def _check_bits(what: str, values) -> None:
         raise EvalError(f"{what} may take coefficients of {bits} bits, more than the limit of {limit}")
 
 
+def _check_pairs(what: str, left: Value, right: Value) -> None:
+    """Refuse a product of two elements past ``algebra.MAX_POWER_PAIRS``
+    term pairs, before it multiplies them."""
+    if isinstance(left, Element) and isinstance(right, Element):
+        pairs, limit = len(left.terms) * len(right.terms), algebra.MAX_POWER_PAIRS
+        if pairs > limit:
+            raise EvalError(f"{what} takes {pairs} term pairs, more than the limit of {limit}")
+
+
 def _eval_mul(left: Value, right: Value) -> Value:
     if (isinstance(left, TensorElement) and not isinstance(right, int)) or (
         isinstance(right, TensorElement) and not isinstance(left, int)
     ):
         raise EvalError("cannot multiply by an arity >= 2 tensor")
     _check_bits("product", (left, right))
+    _check_pairs("product", left, right)
     return left * right
 
 
@@ -354,7 +364,8 @@ def _eval(model: LoopModel, ast: ExprAst, allow_calls: bool) -> Value:
         if ast.func == "delta":
             return model.delta(args[0])
         _check_bits("bracket", args)
-        return model.bracket(args[0], args[1])
+        _check_pairs("bracket", *args)
+        return model.bracket(*args)
     if isinstance(ast, MuCall):
         if not allow_calls:
             raise EvalError("mu(...) is not allowed here")

@@ -450,19 +450,15 @@ def test_mul_associative_and_distributive(cp2, data):
 
 
 def _assert_mul_matches_references(model, x, y):
-    # the term-by-term mono_mul sum, and the oracle's, each reduced once
+    # the oracle's term-by-term sum, reduced once
     oracle = DenseOracle(model, 0)
-    acc, raw = {}, []
+    raw = []
     for m1, c1 in x.terms.items():
         for m2, c2 in y.terms.items():
-            hit = model.mono_mul(m1, m2)
-            if hit is not None:
-                acc[hit[1]] = acc.get(hit[1], 0) + hit[0] * c1 * c2
             want = oracle.multiply(m1, m2)
             if want is not None:
                 raw.append((want[0] * c1 * c2, want[1]))
     got = model.mul(x, y)
-    assert got == model.from_raw(acc)
     assert got.terms == oracle.reduce(raw)
     return got
 

@@ -1,6 +1,7 @@
 """Law suite: pass/fail behaviour, determinism, and the dense oracle."""
 
 import json
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -24,6 +25,7 @@ from loophom import (
 from loophom.cli import main
 
 CHECK_DETAILS = Path(__file__).parent / "data" / "check_details_w24_seed0.json"
+README = Path(__file__).parents[1] / "README.md"
 
 
 def test_all_builtins_pass():
@@ -31,6 +33,29 @@ def test_all_builtins_pass():
         report = run_checks(load_model(name), max_abs_degree=8, seed=0)
         failed = [r.law for r in report.results if r.status == "fail"]
         assert report.passed, (name, failed)
+
+
+def test_readme_coverage_table_names_every_law():
+    # README "What `check` covers": one row per claim, with its laws and
+    # one coverage class; a new law cannot land without a row
+    section = README.read_text(encoding="utf-8").split("### What `check` covers\n", 1)[1]
+    lines = section.split("\n\n| Claim |", 1)[1].split("\n\n", 1)[0].splitlines()[2:]
+    classes = (
+        "exhaustive over the window",
+        r"exhaustive over `\|deg\| <= 4`",
+        "exhaustive on generators",
+        "sampled, ",
+        "holds at construction",
+        "not checked",
+    )
+    named = set()
+    for line in lines:
+        _, laws, coverage = (cell.strip() for cell in re.split(r"(?<!\\)\|", line)[1:-1])
+        assert coverage.startswith(classes), line
+        assert not coverage.startswith("sampled") or re.match(r"sampled, \d+ ", coverage), line
+        named |= set(re.findall(r"`([a-z-]+)`", laws))
+    assert len(lines) >= 20
+    assert named == {name for name, _ in checks._LAWS}
 
 
 def test_sphere_window_twelve_passes():
@@ -466,6 +491,24 @@ def test_oracle_law_names_a_modulus_the_engine_basis_gets_wrong(s4, monkeypatch)
     assert (result.status, result.witness) == (
         "fail", "basis in degree 2: a*v has modulus 4 in the engine, 2 in the oracle"
     )
+
+
+def test_oracle_law_names_a_monomial_only_the_engine_basis_has(s2, monkeypatch):
+    # a dead a^2 in the engine's basis multiplies to 0 on both sides, so
+    # only the basis comparison sees it; every other law passes
+    real = LoopModel._basis_between
+    a2 = s2.monomial({"a": 2})
+
+    def padded(self, lo, hi):
+        out = real(self, lo, hi)
+        return sorted(out + [(-4, a2, 1)]) if lo <= -4 <= hi else out
+
+    monkeypatch.setattr(LoopModel, "_basis_between", padded)
+    report = run_checks(s2, max_abs_degree=4, seed=0)
+    failed = {r.law: r.witness for r in report.results if r.status in ("fail", "error")}
+    assert failed == {
+        "mul-oracle-agreement": "basis in degree -4: a^2 is in the engine (modulus 1) but not in the oracle"
+    }
 
 
 def test_one_corrupted_table_entry_fails_every_product_law(s2_cp2):

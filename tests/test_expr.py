@@ -288,6 +288,8 @@ _HUGE_200 = ", ".join(["2^500000"] * 200)
             "element power may take coefficients of 1661954 bits, more than the limit of 1048576",
         ),
         ("s4", f"{_BIG}^2", "element power takes a product of 1002001 term pairs, more than the limit of 1000000"),
+        ("s4", f"{_BIG}*{_BIG}", "product takes 1002001 term pairs, more than the limit of 1000000"),
+        ("bv_model", f"bracket(a*{_BIG}, {_BIG})", "bracket takes 1002001 term pairs, more than the limit of 1000000"),
         (
             "s4",
             "*".join(["(2^500000)"] * 400) + "*a",
@@ -328,6 +330,8 @@ _HUGE_200 = ", ".join(["2^500000"] * 200)
     ids=[
         "power-bits",
         "power-pairs",
+        "product-pairs",
+        "bracket-pairs",
         "int-product",
         "element-product",
         "product-edge",
@@ -358,6 +362,12 @@ def test_coefficient_and_pair_limits_hold_at_the_edge(s4, bv_model, monkeypatch)
     monkeypatch.setattr(algebra, "MAX_POWER_PAIRS", 8)
     with pytest.raises(ValueError, match="^element power takes a product of 9 term pairs, more than the limit of 8$"):
         run_expr(s4, "(1+v)^4")
+    # products and brackets of two elements read the pair limit too
+    with pytest.raises(EvalError, match="^product takes 9 term pairs, more than the limit of 8$"):
+        run_expr(s4, "(1+v+v^2)*(1+v+v^2)")
+    assert str(run_expr(s4, "(1+v)*(1+v+v^2+v^3)")) == "1 + 2*v + 2*v^2 + 2*v^3 + v^4"
+    with pytest.raises(EvalError, match="^bracket takes 9 term pairs, more than the limit of 8$"):
+        run_expr(bv_model, "bracket(a*(1+v+v^2), 1+v+v^2)")
     # (2*v)^4 squares 2-bit, then 3-bit coefficients, then multiplies 1 by 16
     monkeypatch.setattr(algebra, "MAX_COEFF_BITS", 6)
     assert str(run_expr(s4, "(2*v)^4")) == "16*v^4"
