@@ -115,7 +115,7 @@ class ModelError(ValueError):
         super().__init__("; ".join(msg for _, msg in self.problems))
 
 
-#: Sets a record's field, past a frozen record's ``__setattr__``.
+#: Sets a record's field, past the record's ``__setattr__``.
 _set_field = object.__setattr__
 
 
@@ -123,20 +123,19 @@ class Record:
     """Base of the package's plain value classes, declared by ``__slots__``
     (the fields, in order) and ``_defaults`` (the values of the last ones).
     A subclass whose body defines no ``__init__`` gets one compiled for it
-    that takes the fields in order, by position or keyword.  Instances
+    that takes the fields in order, by position or keyword; a hand-written
+    one sets the fields with ``_set_field``.  Instances are immutable:
+    assigning or deleting any attribute raises ``AttributeError``.  They
     compare equal only to instances of the same class with equal fields,
-    print as ``Name(field=value, ...)`` and, being mutable, are unhashable.
+    hash by their field values and print as ``Name(field=value, ...)``.
     """
 
     __slots__ = ()
-    __hash__ = None
     _defaults = ()
 
     def __init_subclass__(cls):
         super().__init_subclass__()
         fields = cls.__slots__
-        if not fields:
-            return
         # ``cls._values(record)``: the field values in one C call, as a
         # tuple, or the value itself for a lone field
         cls._values = attrgetter(*fields)
@@ -159,14 +158,6 @@ class Record:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
         return f"{type(self).__qualname__}({fields})"
 
-
-class FrozenRecord(Record):
-    """An immutable :class:`Record`, declared the same way: hashable, and
-    assigning or deleting any attribute raises ``AttributeError``.  A
-    hand-written ``__init__`` sets the fields with ``_set_field``."""
-
-    __slots__ = ()
-
     def __hash__(self) -> int:
         return hash(self._values(self))
 
@@ -177,7 +168,7 @@ class FrozenRecord(Record):
         raise AttributeError(f"cannot delete field {name!r}")
 
 
-class GeneratorSpec(FrozenRecord):
+class GeneratorSpec(Record):
     """A named generator with its loop-algebra degree.
 
     ``geometric`` flags classes coming from the homology of the manifold
@@ -197,7 +188,7 @@ class GeneratorSpec(FrozenRecord):
 Monomial = tuple
 
 
-class Relation(FrozenRecord):
+class Relation(Record):
     """The relation ``coeff * monomial = 0`` with ``coeff >= 1``."""
 
     __slots__ = ("coeff", "monomial")

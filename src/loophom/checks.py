@@ -54,15 +54,9 @@ class CheckResult(Record):
 
 
 class CheckReport(Record):
-    __slots__ = ("model_name", "window", "seed", "results")
+    """The results of every law, a tuple in report order."""
 
-    def __init__(
-        self, model_name: str, window: int, seed: int, results: list[CheckResult] | None = None
-    ):
-        self.model_name = model_name
-        self.window = window
-        self.seed = seed
-        self.results = [] if results is None else results
+    __slots__ = ("model_name", "window", "seed", "results")
 
     @property
     def passed(self) -> bool:
@@ -624,6 +618,7 @@ def _integer_multiple_of(t, base):
 def _check_coproduct_concentration(ctx: _Ctx) -> Iterator[int]:
     model = ctx.model
     c0c0 = tensor([model.c0, model.c0])
+    psi_one = c0c0.scaled(model.euler)  # the definition, chi * (c0*1) (x) c0
     for deg, m, x in ctx.basis:
         value = psi(model, x)
         if deg != 0:
@@ -633,6 +628,8 @@ def _check_coproduct_concentration(ctx: _Ctx) -> Iterator[int]:
                 )
         elif _integer_multiple_of(value, c0c0) is None:
             raise _Fail(f"psi({ctx.fmt(m)}) = {value} is not a multiple of c0 (x) c0")
+        elif not any(m) and value != psi_one:
+            raise _Fail(f"psi(1) = {value}, not chi * c0 (x) c0 = {psi_one}")
         yield 1
 
 
@@ -770,8 +767,5 @@ def run_checks(doc, max_abs_degree: int = 8, seed: int = 0) -> CheckReport:
         model, name = doc.model, doc.provenance
     else:
         model, name = doc, "<model>"
-    report = CheckReport(model_name=name, window=max_abs_degree, seed=seed)
     ctx = _Ctx(model, max_abs_degree, seed)
-    for _, run in _LAWS:
-        report.results.append(run(ctx))
-    return report
+    return CheckReport(name, max_abs_degree, seed, tuple(run(ctx) for _, run in _LAWS))

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .algebra import Element
@@ -146,8 +147,21 @@ def _cmd_check(args) -> int:
     return 0 if report.passed else 1
 
 
+def _as_utf8(text: str) -> str:
+    """Command-line text read as UTF-8 in any locale, as a model file is:
+    ``os.fsencode`` gives back the bytes Python decoded in the locale's
+    encoding.  A byte that is not UTF-8 stays a lone surrogate, which the
+    tokenizer reports."""
+    return os.fsencode(text).decode("utf-8", "surrogateescape")
+
+
 def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
+    if argv is None:  # --model stays as decoded: a path must name the same file
+        if args.command == "eval":
+            args.expr = _as_utf8(args.expr)
+        elif args.command == "tqft":
+            args.exprs = [_as_utf8(text) for text in args.exprs]
     handlers = {
         "eval": _cmd_eval,
         "basis": _cmd_basis,

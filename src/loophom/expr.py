@@ -24,7 +24,7 @@ from __future__ import annotations
 from typing import Union
 
 from . import algebra
-from .algebra import RESERVED_NAMES, Element, FrozenRecord, LoopModel, coeff_bits, parse_int
+from .algebra import RESERVED_NAMES, Element, LoopModel, Record, coeff_bits, parse_int
 from .coalgebra import TensorElement, psi, tensor
 from .tqft import Surface, string_operation
 
@@ -44,39 +44,39 @@ class EvalError(ValueError):
 # -- AST ---------------------------------------------------------------------
 
 
-class Lit(FrozenRecord):
+class Lit(Record):
     __slots__ = ("value",)
 
 
-class Name(FrozenRecord):
+class Name(Record):
     __slots__ = ("ident",)
 
 
-class Neg(FrozenRecord):
+class Neg(Record):
     __slots__ = ("operand",)
 
 
-class BinOp(FrozenRecord):
+class BinOp(Record):
     """``left op right``, where ``op`` is ``"+"``, ``"-"`` or ``"*"``."""
 
     __slots__ = ("op", "left", "right")
 
 
-class Pow(FrozenRecord):
+class Pow(Record):
     __slots__ = ("base", "exponent")
 
 
-class Call(FrozenRecord):
+class Call(Record):
     """``func(*args)``, where ``func`` is ``"psi"``, ``"delta"`` or ``"bracket"``."""
 
     __slots__ = ("func", "args")
 
 
-class MuCall(FrozenRecord):
+class MuCall(Record):
     __slots__ = ("genus", "inputs", "outputs", "args")
 
 
-class TensorExpr(FrozenRecord):
+class TensorExpr(Record):
     __slots__ = ("factors",)
 
 
@@ -108,6 +108,8 @@ def _tokenize(text: str) -> list[tuple[str, int]]:
         elif c.isalpha() or c == "_":
             while j < n and (text[j].isalnum() or text[j] == "_"):
                 j += 1
+        elif "\udc80" <= c <= "\udcff":  # a byte decoded with surrogateescape
+            raise ExprError(f"byte 0x{ord(c) - 0xDC00:02x} is not UTF-8", i + 1)
         elif c not in _OP_CHARS:
             raise ExprError(f"unexpected character {c!r}", i + 1)
         tokens.append((text[i:j], i))

@@ -23,7 +23,7 @@ from __future__ import annotations
 import re
 from pathlib import Path
 
-from .algebra import FrozenRecord, GeneratorSpec, LoopModel, ModelError, parse_int
+from .algebra import GeneratorSpec, LoopModel, ModelError, Record, parse_int
 from .builtins import builtin_model
 from .expr import evaluate_scalar, parse_expr
 
@@ -44,7 +44,7 @@ class ModelParseError(Exception):
         )
 
 
-class ModelDoc(FrozenRecord):
+class ModelDoc(Record):
     """A parsed model together with its provenance."""
 
     __slots__ = ("model", "provenance")

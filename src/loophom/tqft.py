@@ -16,7 +16,7 @@ import enum
 import functools
 from typing import Sequence, Union
 
-from .algebra import Element, FrozenRecord, LoopModel, _set_field
+from .algebra import Element, LoopModel, Record, _set_field
 from .coalgebra import TensorElement, apply_psi, check_factors, contract, psi_split, tensor, tensor_zero
 
 
@@ -28,7 +28,7 @@ class VanishingReason(enum.Enum):
     NOT_A_PRIORI = "not a priori"
 
 
-class Surface(FrozenRecord):
+class Surface(Record):
     """Topological type of an oriented connected cobordism."""
 
     __slots__ = ("genus", "inputs", "outputs")

@@ -16,6 +16,7 @@ from loophom import (
     LoopModel,
     Monomial,
     checks,
+    coalgebra,
     load_model,
     parse_model,
     print_model,
@@ -646,6 +647,24 @@ def test_oracle_bounds_gcd_nilpotent_generator(tmp_path, capsys):
     assert (result.status, result.detail) == ("pass", "9 cases")
 
 
+@pytest.mark.parametrize(
+    "name, witness",
+    [
+        ("toy:bv0", "psi(1) = 4*(y*z (x) y*z), not chi * c0 (x) c0 = 2*(y*z (x) y*z)"),
+        ("cpn:2", "psi(1) = 6*(c^2 (x) c^2), not chi * c0 (x) c0 = 3*(c^2 (x) c^2)"),
+    ],
+    ids=["toy:bv0", "cpn:2"],
+)
+def test_a_doubled_coproduct_fails_concentration(monkeypatch, name, witness):
+    # twice the coproduct is still symmetric, equal to its mirror form and
+    # a multiple of c0 (x) c0: only psi(1) against its definition sees it
+    split = coalgebra.psi_split
+    monkeypatch.setattr(coalgebra, "psi_split", lambda *args: split(*args).scaled(2))
+    report = run_checks(load_model(name), max_abs_degree=8, seed=0)
+    failed = [(r.law, r.status, r.witness) for r in report.results if r.status not in ("pass", "skip")]
+    assert failed == [("coproduct-concentration", "fail", witness)]
+
+
 def test_law_that_raises_is_reported_as_error(monkeypatch, capsys):
     def broken_twist(t):
         raise RuntimeError("twist is broken")
@@ -686,25 +705,35 @@ def test_law_that_raises_after_some_cases_is_reported_as_error(monkeypatch):
     assert len(calls) == 3
 
 
-def test_check_records_are_mutable_and_unhashable():
-    report = CheckReport("m", 4, 0)
-    report.results.append(CheckResult("law", "pass", "x"))
-    report.results.append(CheckResult(law="l2", status="fail", witness="w"))
+def test_check_records_are_frozen_and_hashable():
+    first = CheckResult("law", "pass", "x")
+    second = CheckResult(law="l2", status="fail", witness="w")
+    report = CheckReport("m", 4, 0, (first, second))
     assert repr(report) == (
-        "CheckReport(model_name='m', window=4, seed=0, results=["
+        "CheckReport(model_name='m', window=4, seed=0, results=("
         "CheckResult(law='law', status='pass', detail='x', witness=None), "
-        "CheckResult(law='l2', status='fail', detail='', witness='w')])"
+        "CheckResult(law='l2', status='fail', detail='', witness='w')))"
     )
-    assert CheckReport("m", 4, 0).results == []
-    assert CheckReport("m", 4, 0).results is not CheckReport("m", 4, 0).results
-    assert report == CheckReport(model_name="m", window=4, seed=0, results=list(report.results))
+    assert report == CheckReport(model_name="m", window=4, seed=0, results=(first, second))
     assert CheckResult("a", "pass") != ("a", "pass", "", None)
-    report.results[0].status = "fail"
-    report.seed = 1
-    assert (report.results[0].status, report.seed) == ("fail", 1)
-    for record in (report, report.results[0]):
-        with pytest.raises(TypeError, match="unhashable"):
-            hash(record)
+    with pytest.raises(AttributeError, match="cannot assign to field 'seed'"):
+        report.seed = 1
+    with pytest.raises(AttributeError, match="cannot assign to field 'status'"):
+        first.status = "fail"
+    with pytest.raises(AttributeError, match="cannot delete field 'results'"):
+        del report.results
+    assert (report.seed, first.status) == (0, "pass")
+    assert hash(report) == hash(CheckReport("m", 4, 0, (first, second)))
+    assert hash(first) == hash(("law", "pass", "x", None))
+    with pytest.raises(TypeError):
+        CheckReport("m", 4, 0)
+    # run_checks hands over its results as one tuple, and to_dict a list
+    report = run_checks(load_model("toy:bv0"), max_abs_degree=2)
+    assert type(report.results) is tuple and len(report.results) == len(checks._LAWS)
+    assert report.to_dict()["results"] == [
+        {"law": r.law, "status": r.status, "detail": r.detail, "witness": r.witness}
+        for r in report.results
+    ]
 
 
 # Four presentations whose details no built-in reaches: bracket data with

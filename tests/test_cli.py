@@ -9,8 +9,11 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from loophom import algebra, cli
+from loophom import algebra, cli, print_model
+from strategies import models
 
 S4_TEXT = """\
 dim = 4
@@ -529,3 +532,81 @@ def test_console_script_entry_point_runs_main():
     )
     out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert (out.returncode, out.stdout, out.stderr) == (0, "2*(a (x) a)\n", "")
+
+
+def test_in_process_expressions_are_not_decoded_again():
+    # an argv list is taken as given: these two lone surrogates, the bytes
+    # of "\u00e9" as the C locale decodes them, stay two bytes
+    assert run_in_process(["eval", "--model", "sphere:4", "v^\udcc3\udca9"]) == (
+        2,
+        "",
+        "loophom: error: byte 0xc3 is not UTF-8 (column 3)\n",
+    )
+
+
+# each built-in with its generator names; a drawn model file has c and
+# g0, g1, ..., and the bad names and the missing path get the 2-sphere's
+_BUILTINS = {
+    "sphere:2": "bav",
+    "sphere:3": "bv",
+    "sphere:4": "bav",
+    "cpn:1": "wcu",
+    "cpn:2": "wcu",
+    "toy:bv0": "yz",
+}
+_BAD_NAMES = ["sphere:x", "cpn:0", "klein:2"]
+# the grammar's tokens, and two characters that no name may hold
+_TOKENS = [*"0127+-*^(),; ", "(x)", "psi(", "delta(", "bracket(", "mu(", "\u00b2", "\u00e9"]
+
+
+def _expressions(names):
+    """Token soup, and well-formed expressions that get past the parser."""
+    atoms = st.sampled_from([*names, "1", "2"])
+    grammatical = st.recursive(
+        atoms,
+        lambda inner: st.one_of(
+            st.builds("{} {} {}".format, inner, st.sampled_from("+-*"), inner),
+            st.builds("({}) (x) ({})".format, inner, inner),
+            st.builds("({})^{}".format, inner, st.sampled_from("0123")),
+            st.builds("{}({})".format, st.sampled_from(["psi", "delta"]), inner),
+            st.builds("bracket({}, {})".format, inner, inner),
+            st.builds("mu({}, 2, {}; {}, {})".format, st.sampled_from("01"), st.sampled_from("123"),
+                      inner, inner),
+        ),
+        max_leaves=6,
+    )
+    soup = st.lists(st.sampled_from([*names, *_TOKENS]), max_size=12).map("".join)
+    return st.one_of(soup, grammatical)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_random_argv_ends_in_exit_0_1_or_2(tmp_path_factory, data):
+    """Every subcommand on a built-in, a bad built-in name, a missing path
+    or a drawn model file ends in exit 0, 1 or 2, and raises nothing."""
+    tmp = tmp_path_factory.getbasetemp()
+    command = data.draw(st.sampled_from(["eval", "basis", "tqft", "check"]))
+    source = data.draw(st.sampled_from([*_BUILTINS, *_BAD_NAMES, "missing", "file"]))
+    names = _BUILTINS.get(source, "bav")
+    if source == "missing":
+        source = str(tmp / "missing.model")
+    elif source == "file":
+        path = tmp / "drawn.model"
+        path.write_text(print_model(data.draw(models(euler=st.integers(0, 4)))))
+        source, names = str(path), ["c", "g0", "g1", "g2"]
+    argv = [command, "--model", source]
+    small = st.integers(-1, 3).map(str)
+    if command == "eval":
+        argv.append(data.draw(_expressions(names)))
+    elif command == "basis":
+        argv += ["--degree", str(data.draw(st.integers(-8, 8)))]
+    elif command == "tqft":
+        exprs = data.draw(st.lists(_expressions(names), max_size=3))
+        n_in = data.draw(st.sampled_from([str(len(exprs)), "-1", "2"]))
+        argv += ["--genus", data.draw(small), "--in", n_in, "--out", data.draw(small), *exprs]
+    else:
+        argv += ["--window", str(data.draw(st.integers(0, 2))), "--seed", data.draw(small)]
+    if data.draw(st.booleans()):
+        argv.append("--json")
+    code, _, _ = run_in_process(argv)
+    assert code in (0, 1, 2), argv

@@ -347,6 +347,33 @@ def test_model_files_are_read_as_utf8_in_any_locale(tmp_path):
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "2*(a (x) a)\n", "")
 
 
+@pytest.mark.parametrize("utf8_mode", ["0", "1"])
+def test_expressions_on_the_command_line_are_read_as_utf8_in_any_locale(utf8_mode):
+    # the C locale decodes argv as ASCII; UTF-8 mode decodes it as UTF-8
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(
+        os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8=utf8_mode, PYTHONPATH=str(src)
+    )
+    # stderr escapes what the C locale cannot encode
+    char = "'\\xb2'" if utf8_mode == "0" else "'\u00b2'"
+    cases = [
+        (["eval", "v^\u00b2".encode()], f"unexpected character {char} (column 3)"),
+        (["eval", b"v\xff"], "byte 0xff is not UTF-8 (column 2)"),
+        (
+            ["tqft", "--genus", "0", "--in", "2", "--out", "1", "a", b"v\xff"],
+            "byte 0xff is not UTF-8 (column 2)",
+        ),
+    ]
+    for (command, *args), message in cases:
+        proc = subprocess.run(
+            [sys.executable, "-m", "loophom", command, "--model", "sphere:4", *args],
+            capture_output=True,
+            env=env,
+        )
+        assert (proc.returncode, proc.stdout) == (2, b""), args
+        assert proc.stderr.decode("utf-8") == f"loophom: error: {message}\n", args
+
+
 def test_relation_on_unit_monomial_parses():
     # degenerate but expressible; rejected because c0 collapses to zero
     text = "dim = 2\neuler = 2\ngenerator a deg = -2\nrelation 1 * a^2\nrelation 1 * 1\nc0 = a\n"
