@@ -21,6 +21,7 @@ generators, integers, ``+ - * ^`` and parentheses.
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 from pathlib import Path
 
 from .algebra import GeneratorSpec, LoopModel, ModelError, Record, parse_int
@@ -210,8 +211,15 @@ def print_model(model: LoopModel) -> str:
     return "\n".join(lines) + "\n"
 
 
+@lru_cache(maxsize=16)  # parse_model is pure and a model immutable, bar its moduli
+def _model_of_text(text: str) -> LoopModel:
+    return parse_model(text).model
+
+
 def load_model(spec: str) -> ModelDoc:
-    """Load a built-in model by name or a model file by path."""
+    """Load a built-in model by name or a model file by path.  A file is
+    read on every call but parsed once per distinct content: the models of
+    the last 16 texts are kept and shared by text; a failure is not kept."""
     try:
         model = builtin_model(spec)
     except ValueError as exc:
@@ -231,4 +239,4 @@ def load_model(spec: str) -> ModelDoc:
         # with "x" standing in for the byte
         line = len((data[: exc.start].decode("utf-8") + "x").splitlines())
         raise ModelParseError([(line, f"byte 0x{data[exc.start]:02x} is not UTF-8")]) from None
-    return parse_model(text, provenance=str(path))
+    return ModelDoc(model=_model_of_text(text), provenance=str(path))

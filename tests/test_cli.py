@@ -444,22 +444,44 @@ REUSE_CALLS = [
     ["frobnicate", "--model", "sphere:4"],
     ["eval", "--model", "sphere:4", "psi(a,b)"],
 ]
+# requests on a sphere:2 x cpn:2 model file, "FILE" standing for its path:
+# warm calls read the model that load_model keeps for the file's text
+FILE_REUSE_CALLS = [
+    ["eval", "--model", "FILE", "(v+u+c)^3"],
+    ["basis", "--model", "FILE", "--degree", "8", "--json"],
+    ["tqft", "--model", "FILE", "--genus", "0", "--in", "3", "--out", "1", "v+u", "u", "a+c"],
+]
 
 
-def test_repeated_main_matches_fresh_processes(monkeypatch):
+def test_repeated_main_matches_fresh_processes(monkeypatch, tmp_path, s2_cp2):
     # argparse wraps usage text to the terminal width; pin it here and in
     # the subprocesses, which inherit the environment
     monkeypatch.setenv("COLUMNS", "80")
+    path = tmp_path / "s2-cp2.model"
+    path.write_text(print_model(s2_cp2))
+    all_calls = REUSE_CALLS + [
+        [str(path) if arg == "FILE" else arg for arg in argv] for argv in FILE_REUSE_CALLS
+    ]
     fresh = {}
-    for argv in REUSE_CALLS:
+    for argv in all_calls:
         proc = run_cli(*argv)
         fresh[tuple(argv)] = (proc.returncode, proc.stdout, proc.stderr)
-    assert [fresh[tuple(argv)][0] for argv in REUSE_CALLS] == [0, 0, 0, 0, 0, 0, 2, 2, 2]
+    assert [fresh[tuple(argv)][0] for argv in all_calls] == [0] * 6 + [2] * 3 + [0] * 3
     # the plain eval prints text, so --json from the call before it did not leak
     assert fresh[tuple(REUSE_CALLS[1])] == (0, "2*(a (x) a)\n", "")
-    for calls in (REUSE_CALLS, REUSE_CALLS[::-1]):
+    assert fresh[tuple(all_calls[-1])] == (0, "c*u^2 + v*c*u + a*u^2 + a*v*u\n", "")
+    for calls in (all_calls, all_calls[::-1]):
         for argv in calls:
             assert run_in_process(argv) == fresh[tuple(argv)], argv
+
+
+def test_repeated_main_reads_an_edited_model_file(tmp_path):
+    path = tmp_path / "s4.model"
+    path.write_text(S4_TEXT)
+    argv = ["eval", "--model", str(path), "2*a*v"]
+    assert run_in_process(argv) == (0, "0\n", "")
+    path.write_text(CORRUPTED_TEXT)
+    assert run_in_process(argv) == (0, "2*a*v\n", "")
 
 
 def test_reused_parser_returns_a_fresh_namespace():

@@ -333,6 +333,47 @@ def test_a_byte_that_is_not_utf8_is_located(tmp_path, newline):
     assert str(exc.value) == "line 3: byte 0xff is not UTF-8"
 
 
+def test_load_model_shares_one_model_per_file_text(tmp_path):
+    first, second = tmp_path / "a.model", tmp_path / "b.model"
+    first.write_text(S4_TEXT)
+    second.write_text(S4_TEXT)
+    docs = [load_model(str(first)), load_model(str(first)), load_model(str(second))]
+    assert docs[0].model is docs[1].model is docs[2].model
+    assert [doc.provenance for doc in docs] == [str(first), str(first), str(second)]
+    # parse_model itself is not memoised
+    assert parse_model(S4_TEXT).model is not parse_model(S4_TEXT).model
+
+
+def test_load_model_reads_the_file_on_every_call(tmp_path):
+    path = tmp_path / "m.model"
+    path.write_text(S4_TEXT)
+    old = load_model(str(path)).model
+    cpn2_text = print_model(load_model("cpn:2").model)
+    path.write_text(cpn2_text)
+    new = load_model(str(path)).model
+    assert new is not old
+    assert print_model(new) == cpn2_text
+    # a byte that is not UTF-8 is found before the memo is consulted
+    path.write_bytes(S4_TEXT.encode().replace(b"euler = 2", b"euler = 2 \xff"))
+    with pytest.raises(ModelParseError) as exc:
+        load_model(str(path))
+    assert exc.value.errors == [(3, "byte 0xff is not UTF-8")]
+
+
+def test_a_model_file_that_fails_to_parse_is_not_kept(tmp_path):
+    path = tmp_path / "m.model"
+    path.write_text(S4_TEXT.replace("c0 = a", "c0 = q"))
+    raised = []
+    for _ in range(2):
+        with pytest.raises(ModelParseError) as exc:
+            load_model(str(path))
+        raised.append((exc.value.errors, str(exc.value)))
+    assert raised[0] == raised[1]
+    assert [line for line, _ in raised[0][0]] == [10]
+    path.write_text(S4_TEXT)
+    assert load_model(str(path)).model.dim == 4
+
+
 def test_model_files_are_read_as_utf8_in_any_locale(tmp_path):
     path = tmp_path / "m.model"
     path.write_bytes(S4_TEXT.replace("4-sphere", "4-sph\u00e8re").encode())
