@@ -564,6 +564,8 @@ class LoopModel:
         if problems:
             raise ModelError(problems)
         self._caps = tuple(caps)
+        # elements are immutable, so ``gen`` hands out one per generator
+        self._gens = {g.name: self.mono_elem({g.name: 1}) for g in gens}
 
     def _set_data(self, c0, delta, bracket) -> None:
         """The constant-loop class, bracket and BV-operator values."""
@@ -726,7 +728,10 @@ class LoopModel:
         return self.from_raw({self.monomial(raw): 1})
 
     def gen(self, name: str) -> Element:
-        return self.mono_elem({name: 1})
+        try:
+            return self._gens[name]
+        except KeyError:
+            raise ModelError(f"unknown generator '{name}'") from None
 
     def unit(self) -> Element:
         return self.from_raw({(0,) * len(self.generators): 1})

@@ -24,7 +24,8 @@ from .expr import EvalError, MuCall, evaluate, parse_expr, run_expr
 from .modelfile import ModelParseError, load_model
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The top-level parser, and each command's parser by name."""
     parser = argparse.ArgumentParser(
         prog="loophom",
         description="exact calculator for loop-homology rings and their surface operations",
@@ -54,12 +55,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--window", type=int, default=8, help="max |degree| (default 8)")
     p_check.add_argument("--seed", type=int, default=0)
     p_check.add_argument("--json", action="store_true")
-    return parser
+    return parser, dict(sub.choices)
 
 
 # Built once per process: ``parse_args`` returns a fresh namespace on every
-# call, so ``main`` may be called repeatedly in one process.
-_PARSER = _build_parser()
+# call, so ``main`` may be called repeatedly in one process.  ``_parse``
+# hands an argv that starts with a command name to that command's parser.
+_PARSER, _COMMANDS = _build_parser()
 
 
 def _print_value(args, value, payload: dict) -> int:
@@ -147,6 +149,9 @@ def _cmd_check(args) -> int:
     return 0 if report.passed else 1
 
 
+_HANDLERS = {"eval": _cmd_eval, "basis": _cmd_basis, "tqft": _cmd_tqft, "check": _cmd_check}
+
+
 def _as_utf8(text: str) -> str:
     """Command-line text read as UTF-8 in any locale, as a model file is:
     ``os.fsencode`` gives back the bytes Python decoded in the locale's
@@ -155,21 +160,30 @@ def _as_utf8(text: str) -> str:
     return os.fsencode(text).decode("utf-8", "surrogateescape")
 
 
+def _parse(argv: list):
+    """``_PARSER.parse_args(argv)`` in one scan of argv.  Its one positional
+    takes everything after a command name and hands it to that command's
+    ``parse_known_args``, so that parser is called directly and the top
+    level only reports what it leaves; help, a missing or unknown command
+    and an option first still go to ``_PARSER``."""
+    if argv and argv[0] in _COMMANDS:
+        args, extras = _COMMANDS[argv[0]].parse_known_args(argv[1:])
+        if extras:
+            _PARSER.error(f"unrecognized arguments: {' '.join(extras)}")
+        args.command = argv[0]
+        return args
+    return _PARSER.parse_args(argv)
+
+
 def main(argv=None) -> int:
-    args = _PARSER.parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
     if argv is None:  # --model stays as decoded: a path must name the same file
         if args.command == "eval":
             args.expr = _as_utf8(args.expr)
         elif args.command == "tqft":
             args.exprs = [_as_utf8(text) for text in args.exprs]
-    handlers = {
-        "eval": _cmd_eval,
-        "basis": _cmd_basis,
-        "tqft": _cmd_tqft,
-        "check": _cmd_check,
-    }
     try:
-        return handlers[args.command](args)
+        return _HANDLERS[args.command](args)
     except (ModelParseError, ValueError, OSError) as exc:
         print(f"loophom: error: {exc}", file=sys.stderr)
         return 2

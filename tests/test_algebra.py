@@ -181,6 +181,23 @@ def test_arithmetic_refuses_another_model_and_a_non_integer_scalar(s4):
         s4.gen("a").scaled(1.5)
 
 
+def test_gen_hands_out_one_element_per_generator(s4):
+    for name in ("b", "a", "v"):
+        assert s4.gen(name) is s4.gen(name)
+        assert s4.gen(name) == s4.mono_elem({name: 1})
+    with pytest.raises(ModelError, match="^unknown generator 'q'$"):
+        s4.gen("q")
+    # a generator that a relation kills is the zero element
+    dead = LoopModel(
+        dim=2,
+        euler=0,
+        generators=[("a", -2), ("w", -1)],
+        relations=[(1, {"w": 1}), (1, {"a": 2})],
+        c0={"a": 1},
+    )
+    assert dead.gen("w") == dead.zero()
+
+
 def _logged(calls, tag, value):
     """A callable data value that logs ``tag`` and returns ``value``, or
     raises it when it is an exception."""

@@ -9,7 +9,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from loophom import algebra, cli, print_model
@@ -376,15 +376,21 @@ print(run_checks is loophom.checks.run_checks, DenseOracle.__module__)
     assert proc.stdout == "0 []\nTrue loophom.checks\n"
 
 
-def run_in_process(argv):
-    """``cli.main(argv)`` in this process: exit code, stdout, stderr."""
+def captured(fn, argv):
+    """``fn(argv)`` in this process: its result or ``SystemExit`` code,
+    stdout, stderr."""
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         try:
-            code = cli.main(argv)
+            result = fn(argv)
         except SystemExit as exc:
-            code = exc.code
-    return code, out.getvalue(), err.getvalue()
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+def run_in_process(argv):
+    """``cli.main(argv)`` in this process: exit code, stdout, stderr."""
+    return captured(cli.main, argv)
 
 
 @pytest.mark.parametrize(
@@ -443,6 +449,7 @@ REUSE_CALLS = [
     ["eval", "psi(1)"],
     ["frobnicate", "--model", "sphere:4"],
     ["eval", "--model", "sphere:4", "psi(a,b)"],
+    ["eval", "--model", "sphere:4", "psi(1)", "extra"],
 ]
 # requests on a sphere:2 x cpn:2 model file, "FILE" standing for its path:
 # warm calls read the model that load_model keeps for the file's text
@@ -466,9 +473,16 @@ def test_repeated_main_matches_fresh_processes(monkeypatch, tmp_path, s2_cp2):
     for argv in all_calls:
         proc = run_cli(*argv)
         fresh[tuple(argv)] = (proc.returncode, proc.stdout, proc.stderr)
-    assert [fresh[tuple(argv)][0] for argv in all_calls] == [0] * 6 + [2] * 3 + [0] * 3
+    assert [fresh[tuple(argv)][0] for argv in all_calls] == [0] * 6 + [2] * 4 + [0] * 3
     # the plain eval prints text, so --json from the call before it did not leak
     assert fresh[tuple(REUSE_CALLS[1])] == (0, "2*(a (x) a)\n", "")
+    # the one message main writes itself: the top-level usage line, as from parse_args
+    assert fresh[tuple(REUSE_CALLS[-1])] == (
+        2,
+        "",
+        "usage: loophom [-h] {eval,basis,tqft,check} ...\n"
+        "loophom: error: unrecognized arguments: extra\n",
+    )
     assert fresh[tuple(all_calls[-1])] == (0, "c*u^2 + v*c*u + a*u^2 + a*v*u\n", "")
     for calls in (all_calls, all_calls[::-1]):
         for argv in calls:
@@ -482,6 +496,51 @@ def test_repeated_main_reads_an_edited_model_file(tmp_path):
     assert run_in_process(argv) == (0, "0\n", "")
     path.write_text(CORRUPTED_TEXT)
     assert run_in_process(argv) == (0, "2*a*v\n", "")
+
+
+# each command's options in full, abbreviated and as --opt=value, help,
+# "--", "-", negative numbers and stray words; a drawn option may lack its
+# value
+_ARGV_TOKENS = [
+    "--model", "--mod", "--model=sphere:4", "sphere:4", "cpn:2", "--json", "--js",
+    "--degree", "--deg", "--degree=2", "--genus", "--g", "--genus=0", "--in", "--in=1",
+    "--out", "--out=2", "--window", "--win", "--window=1", "--seed", "--seed=-1",
+    "-h", "--help", "--", "-", "-1", "-3", "0", "2", "psi(1)", "a", "extra", "--frob", "-x",
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    argv=st.builds(
+        lambda command, rest: [command, *rest],
+        st.sampled_from(["eval", "basis", "tqft", "check"]),
+        st.lists(st.sampled_from(_ARGV_TOKENS), max_size=9),
+    )
+)
+@example(argv=[])
+@example(argv=["-h"])
+@example(argv=["frobnicate"])
+@example(argv=["--", "eval", "--model", "sphere:4", "psi(1)"])
+@example(argv=["--model", "x", "eval"])
+@example(argv=["eval", "--model", "sphere:4", "psi(1)", "extra"])
+def test_main_parses_argv_as_the_top_level_parser_does(argv):
+    """The route ``main`` takes gives ``_PARSER.parse_args``'s namespace,
+    or its exit code, stdout and stderr."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("COLUMNS", "80")
+        assert captured(cli._parse, argv) == captured(cli._PARSER.parse_args, argv)
+
+
+def test_main_takes_argv_as_any_iterable():
+    for argv in (
+        ["eval", "--model", "sphere:4", "psi(1)"],
+        ["eval", "--model", "sphere:4", "psi(1)", "extra"],
+        ["frobnicate"],
+        [],
+    ):
+        want = run_in_process(argv)
+        assert run_in_process(tuple(argv)) == want
+        assert run_in_process(arg for arg in argv) == want
 
 
 def test_reused_parser_returns_a_fresh_namespace():
